@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrix, ZeroPolynomial
 
-Rational = Fraction
-
 
 def _num(x):
     """Normalize a scalar: integral Fractions collapse to int."""

@@ -161,13 +161,6 @@ class _SolveContext:
         return self._spectra[var]
 
 
-def _match_in_spectrum(value, spectrum, what):
-    for cand in spectrum:
-        if value.compare(cand) == 0:
-            return cand
-    raise InternalInvariantViolation(f"{what} is not an eigenvalue of its multiplication matrix")
-
-
 def _algebraic_value(ctx, expr: MPoly, assign, var):
     """Value of `expr` at an assignment (dict variable -> RealRoot), known to
     be an eigenvalue of the var-th multiplication matrix.  Exact when every

@@ -127,10 +127,6 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.priority!r})"
 
 
-def compare(order, a, b):
-    return order.compare(a, b)
-
-
 class MPoly:
     """Sparse multivariate polynomial: dict from Monomial to nonzero rational."""
 

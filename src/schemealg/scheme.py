@@ -4,7 +4,7 @@ A scheme is held as its intersection tensor p_ij^k (plus the relation
 partition when it came from one).  Construction from explicit relation
 matrices brute-forces the defining axioms in O(v^3); the orbit construction
 builds Z_m with classes the orbits of the subgroup of units generated by
-r and -1.
+r and -1, counting intersection numbers by translation invariance.
 """
 
 from __future__ import annotations
@@ -210,17 +210,22 @@ def orbit_scheme(m, r):
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    orbit_of = {}
-    n_orbits = 0
+    orbit_of = [None] * m
+    reps = []  # reps[k] = smallest member of orbit k
     for x in range(m):  # ascending, so orbit indices sort by minimal representative
-        if x in orbit_of:
-            continue
-        for h in group:
-            orbit_of[(h * x) % m] = n_orbits
-        n_orbits += 1
+        if orbit_of[x] is None:
+            for h in group:
+                orbit_of[(h * x) % m] = len(reps)
+            reps.append(x)
     labels = tuple(tuple(orbit_of[(x - y) % m] for y in range(m)) for x in range(m))
-    s = scheme_from_relations(labels)
-    return Scheme(tensor=s.tensor, partition=s.partition, origin=f"orbit(m={m}, r={r})")
+    # Classes depend on x - y only, so count p_ij^k at the pair (reps[k], 0).
+    n = len(reps)
+    p = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for k, x in enumerate(reps):
+        for z in range(m):
+            p[orbit_of[(x - z) % m]][orbit_of[z]][k] += 1
+    tensor = IntersectionTensor(tuple(tuple(tuple(r) for r in pi) for pi in p)).validate()
+    return Scheme(tensor=tensor, partition=RelationPartition(labels), origin=f"orbit(m={m}, r={r})")
 
 
 def intersection_matrices(s):

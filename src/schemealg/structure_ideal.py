@@ -2,9 +2,10 @@
 
 For a scheme with classes 0..d the ideal is generated by x_0 - 1 together
 with x_i*x_j - sum_k p_ij^k x_k (constants absorbed via x_0 = 1).  That set
-is already a reduced Groebner basis for any total-degree order, with normal
-set {1, x_1, ..., x_d}; this module builds it, checks it, and exposes the
-multiplication matrices of the quotient algebra.
+is a reduced Groebner basis for any total-degree order, with normal set
+{1, x_1, ..., x_d}, exactly when the tensor is associative; this module builds
+it, certifies that integer identity, and reads the multiplication matrices of
+the quotient algebra off the tensor (they are the intersection matrices).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
 from .exactmath import QMatrix
-from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis, is_groebner, normal_form
-from .scheme import Scheme
+from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form
+from .scheme import Scheme, intersection_matrices
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,16 @@ class StructureBasis:
 
 
 def structure_basis(s: Scheme) -> StructureBasis:
-    """Build the structure basis and certify it with the Buchberger checker.
-
-    A failure of the check means the intersection numbers do not form an
-    associative commutative algebra, i.e. the tensor is broken.
+    """Build the structure basis and certify it: (x_i x_j) x_l = x_i (x_j x_l)
+    in integers for all i <= j and l.  That is Buchberger's criterion for this
+    basis (the S-polynomial of x_i x_j and x_j x_l compares exactly those two
+    products; pairs with x_0 - 1 are coprime), so a failure means the tensor
+    is not associative, i.e. broken.
     """
     d = s.d
     nv = d + 1
     p = s.tensor.p
-    gens = [MPoly.variable(0, nv) - 1]
+    relation = {}
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             terms = {Monomial.variable(i, nv).mul(Monomial.variable(j, nv)): 1}
@@ -51,39 +53,44 @@ def structure_basis(s: Scheme) -> StructureBasis:
             for k in range(1, d + 1):
                 if p[i][j][k]:
                     terms[Monomial.variable(k, nv)] = -p[i][j][k]
-            gens.append(MPoly(nv, terms))
+            relation[i, j] = MPoly(nv, terms)
+    gens = [MPoly.variable(0, nv) - 1, *relation.values()]
     order = MonomialOrder.degree(nv)
     gens.sort(key=lambda g: order.key(g.leading_monomial(order)))
     basis = PolyBasis(gens, order)
-    ok, witness = is_groebner(basis)
-    if not ok:
-        raise InternalInvariantViolation(
-            f"structure relations are not a Groebner basis; offending reduction: {witness.render()}"
-        )
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            for l in range(1, d + 1):
+                if _associates(p, i, j, l):
+                    continue
+                xi, xl = MPoly.variable(i, nv), MPoly.variable(l, nv)
+                s_pair = xl * relation[i, j] - xi * relation[min(j, l), max(j, l)]
+                raise InternalInvariantViolation(
+                    f"structure relations are not a Groebner basis: "
+                    f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
+                    f"offending reduction: {normal_form(s_pair, basis).render()}"
+                )
     normal_set = (Monomial.one(nv),) + tuple(Monomial.variable(i, nv) for i in range(1, nv))
     return StructureBasis(scheme=s, basis=basis, normal_set=normal_set)
 
 
+def _associates(p, i, j, l):
+    """True iff sum_t p_ij^t p_tl^k == sum_t p_jl^t p_it^k for every k."""
+    left, right = [0] * len(p), [0] * len(p)
+    for t in range(len(p)):
+        a, b = p[i][j][t], p[j][l][t]
+        if a:
+            left = [x + a * y for x, y in zip(left, p[t][l])]
+        if b:
+            right = [x + b * y for x, y in zip(right, p[i][t])]
+    return left == right
+
+
 def multiplication_matrix(sb: StructureBasis, i: int) -> QMatrix:
     """Matrix of multiplication by x_i on the quotient, over the normal set:
-    column m holds the normal-form coordinates of x_i * (m-th basis monomial)."""
-    nv = sb.nvars
-    xi = Monomial.variable(i, nv)
-    cols = []
-    for t in sb.normal_set:
-        nf = normal_form(MPoly(nv, {xi.mul(t): 1}), sb.basis)
-        cols.append(_coordinates(nf, sb.normal_set))
-    return QMatrix(tuple(zip(*cols)))
-
-
-def _coordinates(f: MPoly, normal_set):
-    index = {m: k for k, m in enumerate(normal_set)}
-    vec = [0] * len(normal_set)
-    for m, c in f.terms.items():
-        if m not in index:
-            raise InternalInvariantViolation(f"normal form contains {m.render()}, outside the normal set")
-        vec[index[m]] = c
-    return tuple(vec)
+    column m holds the coordinates of x_i * (m-th basis monomial), which are
+    the intersection numbers p_im^k, so this is the intersection matrix B_i."""
+    return intersection_matrices(sb.scheme)[i]
 
 
 def idempotent_equations(sb: StructureBasis):

@@ -9,7 +9,6 @@ from schemealg.polyring import (
     MonomialOrder,
     MPoly,
     PolyBasis,
-    compare,
     is_groebner,
     normal_form,
 )
@@ -192,7 +191,3 @@ class TestPolyBasis:
         with pytest.raises(DimensionMismatch):
             PolyBasis([parse_poly("x0 - 1", 3)], MonomialOrder.degree(2))
 
-
-def test_compare_function_alias():
-    o = MonomialOrder.degree(2)
-    assert compare(o, Monomial((1, 0)), Monomial((0, 1))) == 1

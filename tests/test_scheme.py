@@ -115,6 +115,15 @@ class TestOrbitScheme:
         with pytest.raises(InvalidRadix):
             orbit_scheme(m, r)
 
+    def test_translation_counts_match_relation_counts(self):
+        pairs = [(m, r) for m in range(3, 41) for r in range(2, m) if math.gcd(r, m) == 1]
+        assert len(pairs) == 450
+        for m, r in pairs:
+            s = orbit_scheme(m, r)
+            ref = scheme_from_relations(s.partition.labels)
+            assert s.tensor == ref.tensor, (m, r)
+            assert s.partition == ref.partition, (m, r)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_orbit_schemes_validate(self, seed):
         rng = random.Random(1000 + seed)

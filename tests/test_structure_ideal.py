@@ -6,9 +6,9 @@ import random
 import pytest
 from conftest import parse_basis
 
-from schemealg.errors import InternalInvariantViolation
+from schemealg.errors import InternalInvariantViolation, NotConstantIntersectionNumber
 from schemealg.exactmath import QMatrix
-from schemealg.polyring import Monomial, MPoly, is_groebner, normal_form
+from schemealg.polyring import Monomial, MonomialOrder, MPoly, PolyBasis, is_groebner, normal_form
 from schemealg.scheme import IntersectionTensor, Scheme, intersection_matrices, orbit_scheme
 from schemealg.structure_ideal import (
     idempotent_equations,
@@ -131,8 +131,107 @@ def test_tampered_tensor_rejected():
         ((0, 0, 1), (0, 1, 1), (2, 1, 0)),
     )
     tensor = IntersectionTensor(p).validate()
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(
+        InternalInvariantViolation,
+        match=r"\(x1\*x1\)\*x2 != x1\*\(x1\*x2\); offending reduction: -4\*x1 - 4\*x2 - 4$",
+    ):
         structure_basis(Scheme(tensor=tensor))
+
+
+def _buchberger_accepts(p):
+    """is_groebner on x0 - 1 and x_i*x_j - sum_k p_ij^k x_k, built here
+    rather than taken from structure_basis."""
+    nv = len(p)
+    x = [MPoly.variable(i, nv) for i in range(nv)]
+    gens = [x[0] - 1] + [
+        x[i] * x[j] - sum(p[i][j][k] * x[k] for k in range(nv))
+        for i in range(1, nv)
+        for j in range(i, nv)
+    ]
+    return is_groebner(PolyBasis(gens, MonomialOrder.degree(nv)))[0]
+
+
+def _certificate_accepts(p):
+    try:
+        structure_basis(Scheme(tensor=IntersectionTensor(p).validate()))
+    except InternalInvariantViolation:
+        return False
+    return True
+
+
+def _valid(p):
+    try:
+        IntersectionTensor(p).validate()
+    except NotConstantIntersectionNumber:
+        return False
+    return True
+
+
+def _d2_tensors():
+    """Every d=2 tensor with valencies 1..4 that passes validate(): p_11^1
+    and p_11^2 are free, the row sums fix the rest."""
+    out = []
+    for k1 in range(1, 5):
+        for k2 in range(1, 5):
+            for a1 in range(k1):
+                for a2 in range(k1 + 1):
+                    b1, b2 = k1 - 1 - a1, k1 - a2  # p_12^1, p_12^2
+                    p11, p12, p22 = (k1, a1, a2), (0, b1, b2), (k2, k2 - b1, k2 - 1 - b2)
+                    p = (
+                        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                        ((0, 1, 0), p11, p12),
+                        ((0, 0, 1), p12, p22),
+                    )
+                    if _valid(p):
+                        out.append(p)
+    return out
+
+
+def _perturbed_orbit_tensors(seed, tries=400):
+    """Orbit-scheme tensors (d >= 3) with p_ab^k, p_cc^k raised by one and
+    p_ac^k, p_bb^k lowered by one (and their symmetric counterparts), for
+    distinct a, b, c >= 1 and k >= 1: every row sum is kept."""
+    rng = random.Random(seed)
+    schemes = [orbit_scheme(m, r) for m, r in [(8, 3), (12, 5), (15, 2), (16, 3), (20, 3)]]
+    out = []
+    for _ in range(tries):
+        p = [[list(pij) for pij in pi] for pi in rng.choice(schemes).tensor.p]
+        a, b, c = rng.sample(range(1, len(p)), 3)
+        k = rng.randrange(1, len(p))
+        for (i, j), delta in (((a, b), 1), ((c, c), 1), ((a, c), -1), ((b, b), -1)):
+            p[i][j][k] += delta
+            if i != j:
+                p[j][i][k] += delta
+        p = tuple(tuple(tuple(pij) for pij in pi) for pi in p)
+        if _valid(p):
+            out.append(p)
+    return out
+
+
+def test_certificate_agrees_with_buchberger_on_all_small_d2_tensors():
+    tensors = _d2_tensors()
+    verdicts = [(_certificate_accepts(p), _buchberger_accepts(p)) for p in tensors]
+    assert all(mine == oracle for mine, oracle in verdicts)
+    assert len(tensors) == 90
+    assert sum(not mine for mine, _ in verdicts) == 72
+
+
+# orbit_scheme(13, 5) after a few perturbations as above, non-associative
+# although every constant coordinate of the identity, k_l p_ij^l = k_i p_jl^i,
+# still holds.
+CONSTANT_TERMS_ASSOCIATE = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (4, 1, 1, 1), (0, 1, 1, 2), (0, 1, 2, 1)),
+    ((0, 0, 1, 0), (0, 1, 1, 2), (4, 1, 1, 1), (0, 2, 1, 1)),
+    ((0, 0, 0, 1), (0, 1, 2, 1), (0, 2, 1, 1), (4, 1, 1, 1)),
+)
+
+
+def test_certificate_agrees_with_buchberger_on_perturbed_orbit_tensors():
+    tensors = _perturbed_orbit_tensors(20260101) + [CONSTANT_TERMS_ASSOCIATE]
+    assert len(tensors) >= 20
+    for p in tensors:
+        assert _certificate_accepts(p) == _buchberger_accepts(p)
 
 
 def test_verify_radical(ex1_scheme, ex2_scheme, k3_scheme, hamming_scheme):
