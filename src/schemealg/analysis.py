@@ -19,7 +19,7 @@ from functools import cmp_to_key
 from math import ceil, floor
 
 from .errors import AttemptsExhausted, InternalInvariantViolation, NotExpressible, NotTriangularEnough
-from .exactmath import DEFAULT_PRECISION, QMatrix, RealRoot, UniPoly, real_roots
+from .exactmath import DEFAULT_PRECISION, RealRoot, UniPoly, real_roots, refine_until
 from .fglm import (
     ReducedGB,
     VarietyPoint,
@@ -129,77 +129,67 @@ class CharacterTable:
         return tuple(tuple(c.value for c in row) for row in self.Q)
 
     def check_orthogonality(self, tolerance=Fraction(1, 10**20)) -> bool:
-        """Certify P @ Q = |X| * I: exactly in the rational case, otherwise by
-        interval enclosures refined until each entry is pinned within
-        `tolerance` of its target (False the moment any enclosure excludes
-        the target)."""
+        """Certify P @ Q = |X| * I by interval enclosures of every entry,
+        refined until each is pinned within `tolerance` of its target (exact
+        when P and Q are rational); False the moment any enclosure excludes
+        its target."""
         v = self.scheme.order
         n = self.size
-        if self.all_rational() and all(c.is_rational for row in self.Q for c in row):
-            pm = QMatrix(self.p_fractions())
-            qm = QMatrix(self.q_fractions())
-            return pm @ qm == QMatrix.identity(n).scale(v)
-        prow = [list(row) for row in self.P]
-        qrow = [list(row) for row in self.Q]
-        width = Fraction(1, 2**8)
-        for _ in range(512):
+
+        def verdict(values):
+            ivs = [c.interval() for c in values]
+            p, q = ivs[: n * n], ivs[n * n :]
             done = True
             for mu in range(n):
                 for nu in range(n):
                     acc = None
                     for k in range(n):
-                        t = prow[mu][k].interval().mul(qrow[k][nu].interval())
+                        t = p[mu * n + k].mul(q[k * n + nu])
                         acc = t if acc is None else acc.add(t)
-                    target = v if mu == nu else 0
-                    if not acc.contains(target):
+                    if not acc.contains(v if mu == nu else 0):
                         return False
                     if acc.width >= tolerance:
                         done = False
-            if done:
-                return True
-            prow = [[c.refine(width) for c in row] for row in prow]
-            qrow = [[c.refine(width) for c in row] for row in qrow]
-            width /= 4
-        raise InternalInvariantViolation("orthogonality certification did not converge")
+            return True if done else None
+
+        entries = [c for row in self.P for c in row] + [c for row in self.Q for c in row]
+        return refine_until(entries, verdict, "orthogonality")
 
 
 def _multiplicity(order, valencies, row):
-    """The multiplicity |X| / sum_i P[nu][i]^2 / k_i as a certified integer."""
-    if all(c.is_rational for c in row):
-        s = sum(Fraction(c.value) ** 2 / k for c, k in zip(row, valencies))
-        m = Fraction(order) / s
-        if m.denominator != 1 or m <= 0:
-            raise InternalInvariantViolation(f"non-integer multiplicity {m}")
-        return int(m)
-    work = list(row)
-    width = Fraction(1, 2**8)
-    for _ in range(512):
+    """The multiplicity |X| / sum_i P[nu][i]^2 / k_i as a certified integer:
+    the row is refined until the enclosure of that quotient holds exactly one
+    integer (exact on a rational row).  Raises InternalInvariantViolation as
+    soon as the enclosure holds none."""
+
+    def verdict(values):
         acc = None
-        for c, k in zip(work, valencies):
+        for c, k in zip(values, valencies):
             t = c.interval().power(2).scale(Fraction(1, k))
             acc = t if acc is None else acc.add(t)
         try:
             m_iv = acc.reciprocal().scale(order)
         except ZeroDivisionError:
-            m_iv = None
-        if m_iv is not None:
-            lo = ceil(m_iv.lo)
-            hi = floor(m_iv.hi)
-            if lo == hi and lo > 0:
-                return lo
-            if lo > hi:
-                raise InternalInvariantViolation("multiplicity interval contains no integer")
-        work = [c.refine(width) for c in work]
-        width /= 4
-    raise InternalInvariantViolation("multiplicity refinement did not converge")
+            return None
+        lo, hi = ceil(m_iv.lo), floor(m_iv.hi)
+        if lo > hi:
+            raise InternalInvariantViolation(
+                f"multiplicity in [{m_iv.lo}, {m_iv.hi}] is not an integer"
+            )
+        return lo if lo == hi and lo > 0 else None
+
+    return refine_until(row, verdict, "multiplicity")
 
 
 def character_table(s: Scheme, precision=DEFAULT_PRECISION) -> CharacterTable:
     """Compute P and Q for a scheme, with every step certified.
 
-    Raises InternalInvariantViolation if the variety is deficient (fewer than
-    d+1 real points), fails the eigenvalue cross-check, or lacks the valency
-    row — all signs of a tensor that is not a genuine scheme.
+    Q comes from the multiplicities, Q[i][nu] = m_nu * P[nu][i] / k_i, each
+    m_nu certified to be a positive integer.  Raises
+    InternalInvariantViolation if the variety is deficient (fewer than d+1
+    real points), fails the eigenvalue cross-check, lacks the valency row, or
+    has a non-integral multiplicity — all signs of a tensor that is not a
+    genuine scheme.
     """
     sb = structure_basis(s)
     pts = variety_points(sb, precision)
@@ -222,20 +212,15 @@ def character_table(s: Scheme, precision=DEFAULT_PRECISION) -> CharacterTable:
     rest.sort(key=cmp_to_key(lambda a, b: _cmp_rows(a.coordinates, b.coordinates)), reverse=True)
     ordered = (valency_rows[0], *rest)
     P = tuple(pt.coordinates for pt in ordered)
-    if all(c.is_rational for row in P for c in row):
-        pm = QMatrix(tuple(tuple(c.value for c in row) for row in P))
-        qm = pm.inverse().scale(s.order)
-        Q = tuple(tuple(RealRoot.rational(x) for x in row) for row in qm.rows)
-    else:
-        mults = [_multiplicity(s.order, val, row) for row in P]
-        if sum(mults) != s.order:
-            raise InternalInvariantViolation(
-                f"multiplicities {mults} do not sum to the order {s.order}"
-            )
-        Q = tuple(
-            tuple(P[nu][i].scale(Fraction(mults[nu], val[i])) for nu in range(n))
-            for i in range(n)
+    mults = [_multiplicity(s.order, val, row) for row in P]
+    if sum(mults) != s.order:
+        raise InternalInvariantViolation(
+            f"multiplicities {mults} do not sum to the order {s.order}"
         )
+    Q = tuple(
+        tuple(P[nu][i].scale(Fraction(mults[nu], val[i])) for nu in range(n))
+        for i in range(n)
+    )
     table = CharacterTable(scheme=s, points=ordered, P=P, Q=Q)
     if not table.check_orthogonality():
         raise InternalInvariantViolation("P and Q fail the orthogonality certificate")

@@ -8,8 +8,8 @@ Scheme descriptions are JSON documents, read from a file or stdin ("-"):
 
 Every command accepts --format text|json and writes one deterministic
 report to stdout.  Exit codes: 0 success, 2 unusable input (bad JSON,
-bad arguments), 3 the input is not an association scheme, 4 analysis
-failed on a valid scheme.
+bad arguments, an orbit modulus m above MAX_ORBIT_M), 3 the input is not
+an association scheme, 4 analysis failed on a valid scheme.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ from .fglm import fglm_convert
 from .polyring import MonomialOrder
 from .scheme import IntersectionTensor, Scheme, orbit_scheme, scheme_from_relations
 from .structure_ideal import structure_basis
+
+# An orbit scheme keeps an m x m label matrix; this bounds what a small JSON
+# document may ask to allocate.
+MAX_ORBIT_M = 2048
 
 _SCHEME_AXIOM_ERRORS = (
     NotAPartition,
@@ -84,7 +88,10 @@ def load_scheme(path: str) -> Scheme:
         _check_keys(doc, {"type", "m", "r"})
         if "m" not in doc or "r" not in doc:
             raise ParseError("orbit scheme needs keys 'm' and 'r'")
-        return orbit_scheme(_as_int(doc["m"], "m"), _as_int(doc["r"], "r"))
+        m = _as_int(doc["m"], "m")
+        if m > MAX_ORBIT_M:
+            raise ParseError(f"orbit m={m} exceeds the limit m <= {MAX_ORBIT_M}")
+        return orbit_scheme(m, _as_int(doc["r"], "r"))
     if kind == "relations":
         _check_keys(doc, {"type", "labels"})
         labels = doc.get("labels")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, SingularMatrix, ZeroPolynomial
+from .errors import DimensionMismatch, InternalInvariantViolation, SingularMatrix, ZeroPolynomial
 
 
 def _num(x):
@@ -301,10 +301,6 @@ class QMatrix:
     def identity(cls, n):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self):
         return len(self.rows)
@@ -463,9 +459,6 @@ class Interval:
     def sub(self, other):
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def neg(self):
-        return Interval(-self.hi, -self.lo)
-
     def mul(self, other):
         cands = (
             self.lo * other.lo,
@@ -477,9 +470,6 @@ class Interval:
 
     def scale(self, c):
         return Interval(self.lo * c, self.hi * c) if c >= 0 else Interval(self.hi * c, self.lo * c)
-
-    def shift(self, c):
-        return Interval(self.lo + c, self.hi + c)
 
     def power(self, n):
         if n == 0:
@@ -788,3 +778,34 @@ class RealRoot:
         if self.is_rational:
             return f"RealRoot({self.value})"
         return f"RealRoot(~{self.decimal(6)})"
+
+
+# ---------------------------------------------------------------------------
+# certification by refinement
+# ---------------------------------------------------------------------------
+
+
+REFINE_ROUNDS = 512
+
+
+def refine_until(values, verdict, layer):
+    """Refine `values` (RealRoots) until `verdict` decides, and return its answer.
+
+    Each round asks verdict(values) first; None means "undecided", and every
+    value is then refined below the round's width (2^-8, a quarter of that
+    the next round, and so on).  Any other answer is returned; the verdict may
+    also raise.  Rational values are points that refinement leaves alone, so
+    an interval verdict on them is exact and decides in the first round.
+    Raises InternalInvariantViolation naming `layer` once the rounds run out.
+    """
+    values = list(values)
+    width = Fraction(1, 2**8)
+    for _ in range(REFINE_ROUNDS):
+        answer = verdict(values)
+        if answer is not None:
+            return answer
+        values = [v.refine(width) for v in values]
+        width /= 4
+    raise InternalInvariantViolation(
+        f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"
+    )

@@ -5,8 +5,7 @@ Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
 needed.  Variety points are then extracted from a lex basis: real roots of
 the eliminant, back-substitution through the remaining generators, and
-residual certification (exact for rational points, interval-backed for
-irrational ones).
+residual certification by interval enclosures (exact on rational points).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .exactmath import (
     _count_roots,
     _sturm_chain,
     real_roots,
+    refine_until,
 )
 from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis
 from .structure_ideal import StructureBasis, multiplication_matrix
@@ -162,33 +162,26 @@ class _SolveContext:
 
 
 def _algebraic_value(ctx, expr: MPoly, assign, var):
-    """Value of `expr` at an assignment (dict variable -> RealRoot), known to
-    be an eigenvalue of the var-th multiplication matrix.  Exact when every
-    input is rational; otherwise located inside the var spectrum by interval
-    refinement."""
-    if all(v.is_rational for v in assign.values()):
-        vals = [0] * expr.nvars
-        for j, v in assign.items():
-            vals[j] = v.value
-        return RealRoot.rational(expr.evaluate(vals))
+    """Value of `expr` at an assignment (dict variable -> RealRoot, at least
+    one irrational), known to be an eigenvalue of the var-th multiplication
+    matrix: the one spectrum value whose interval meets the interval
+    enclosure of `expr`, with the assignment refined until exactly one does."""
     spectrum = ctx.spectrum(var)
-    work = dict(assign)
-    width = Fraction(1, 2**8)
-    for _ in range(512):
+    variables = list(assign)
+
+    def verdict(values):
         ivs = [Interval.point(0)] * expr.nvars
-        for j, v in work.items():
+        for j, v in zip(variables, values):
             ivs[j] = v.interval()
         enclosure = expr.evaluate_interval(ivs)
         hits = [c for c in spectrum if c.interval().intersect(enclosure) is not None]
-        if len(hits) == 1:
-            return hits[0]
         if not hits:
             raise InternalInvariantViolation(
                 "back-substituted value escaped the multiplication-matrix spectrum"
             )
-        work = {j: v.refine(width) for j, v in work.items()}
-        width /= 4
-    raise InternalInvariantViolation("interval refinement failed to separate spectrum values")
+        return hits[0] if len(hits) == 1 else None
+
+    return refine_until(assign.values(), verdict, "back-substitution")
 
 
 def _linear_solved_form(gen, order, y, nv):
@@ -265,22 +258,15 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
 
 
 def _certify_point(ctx, coords):
-    """Check the structure relations vanish at the point; returns coordinates
-    (refined where needed to push every residual enclosure below precision)."""
+    """Check the structure relations vanish at the point: every residual's
+    interval enclosure must contain 0 and be narrower than the precision.
+    Returns the coordinates, refined as far as that took (rational ones are
+    points, so on a rational point the check is exact and refines nothing)."""
     basis = ctx.sb.basis
-    if all(c.is_rational for c in coords):
-        values = [c.value for c in coords]
-        for g in basis:
-            if g.evaluate(values) != 0:
-                raise InternalInvariantViolation(
-                    f"candidate point {values} has nonzero residual on {g.render()}"
-                )
-        return coords
-    work = list(coords)
-    width = Fraction(1, 2**8)
-    for _ in range(512):
-        ivs = [c.interval() for c in work]
-        worst = Fraction(0)
+
+    def verdict(values):
+        ivs = [c.interval() for c in values]
+        worst = 0
         for g in basis:
             enc = g.evaluate_interval(ivs)
             if not enc.contains(0):
@@ -288,11 +274,9 @@ def _certify_point(ctx, coords):
                     f"candidate point residual on {g.render()} is certified nonzero"
                 )
             worst = max(worst, enc.width)
-        if worst < ctx.precision:
-            return tuple(work)
-        work = [c.refine(width) for c in work]
-        width /= 4
-    raise InternalInvariantViolation("residual certification did not converge")
+        return tuple(values) if worst < ctx.precision else None
+
+    return refine_until(coords, verdict, "residual certification")
 
 
 def moller_stetter_check(sb: StructureBasis, points) -> bool:

@@ -185,9 +185,6 @@ class MPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def total_degree(self):
-        return max((m.degree for m in self.terms), default=0)
-
     def support_vars(self):
         out = set()
         for m in self.terms:

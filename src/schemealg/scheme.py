@@ -114,10 +114,6 @@ class Scheme:
     def valencies(self):
         return self.tensor.valencies
 
-    @property
-    def symmetric(self):
-        return True
-
     def relabel(self, perm):
         """Apply a class relabeling (perm[old] = new; perm[0] must be 0)."""
         n = self.d + 1
@@ -228,12 +224,14 @@ def orbit_scheme(m, r):
     return Scheme(tensor=tensor, partition=RelationPartition(labels), origin=f"orbit(m={m}, r={r})")
 
 
-def intersection_matrices(s):
-    """The matrices of multiplication by each class on the basis (1, x_1..x_d):
-    column m of M^i holds the coefficients of x_i * x_m, i.e. M^i[k][m] = p_im^k."""
+def intersection_matrix(s, i):
+    """The matrix of multiplication by class i on the basis (1, x_1..x_d):
+    column m holds the coefficients of x_i * x_m, i.e. M[k][m] = p_im^k."""
     n = s.d + 1
     p = s.tensor.p
-    return tuple(
-        QMatrix(tuple(tuple(p[i][m][k] for m in range(n)) for k in range(n)))
-        for i in range(n)
-    )
+    return QMatrix(tuple(tuple(p[i][m][k] for m in range(n)) for k in range(n)))
+
+
+def intersection_matrices(s):
+    """intersection_matrix(s, i) for every class i = 0..d."""
+    return tuple(intersection_matrix(s, i) for i in range(s.d + 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InternalInvariantViolation
 from .exactmath import QMatrix
 from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form
-from .scheme import Scheme, intersection_matrices
+from .scheme import Scheme, intersection_matrix
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def multiplication_matrix(sb: StructureBasis, i: int) -> QMatrix:
     """Matrix of multiplication by x_i on the quotient, over the normal set:
     column m holds the coordinates of x_i * (m-th basis monomial), which are
     the intersection numbers p_im^k, so this is the intersection matrix B_i."""
-    return intersection_matrices(sb.scheme)[i]
+    return intersection_matrix(sb.scheme, i)
 
 
 def idempotent_equations(sb: StructureBasis):

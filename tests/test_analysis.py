@@ -1,11 +1,14 @@
 """Tests for character tables, P-polynomial recognition, expressibility,
 and generic elements."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 from conftest import parse_poly
 
-from schemealg.errors import NotExpressible
-from schemealg.exactmath import DEFAULT_PRECISION, UniPoly, real_roots
+from schemealg.errors import InternalInvariantViolation, NotExpressible
+from schemealg.exactmath import DEFAULT_PRECISION, RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
     character_table,
     check_p_polynomial,
@@ -15,7 +18,7 @@ from schemealg.analysis import (
     variety_points,
     _points_from_generic,
 )
-from schemealg.scheme import orbit_scheme, scheme_from_relations
+from schemealg.scheme import IntersectionTensor, Scheme, orbit_scheme, scheme_from_relations
 from schemealg.structure_ideal import structure_basis
 
 
@@ -76,6 +79,42 @@ def test_pentagon_character_table_irrational():
     # multiplicities are 2 and 2, and k_i = 2, so Q mirrors P here
     assert ct.Q[1][1].compare(ct.P[1][1]) == 0
     assert ct.check_orthogonality()
+
+
+def _perturbed(ct, mu, i, value):
+    P = [list(row) for row in ct.P]
+    P[mu][i] = value
+    return dataclasses.replace(ct, P=tuple(tuple(row) for row in P))
+
+
+def test_orthogonality_rejects_a_perturbed_rational_entry(ex1_scheme):
+    ct = character_table(ex1_scheme)
+    assert ct.check_orthogonality()
+    bad = _perturbed(ct, 1, 1, RealRoot.rational(Fraction(1, 10**30)))
+    assert bad.check_orthogonality() is False
+
+
+def test_orthogonality_rejects_a_perturbed_irrational_entry():
+    ct = character_table(orbit_scheme(5, 4))
+    assert not ct.P[1][1].is_rational
+    bad = _perturbed(ct, 1, 1, ct.P[1][1].scale(Fraction(10**12 + 1, 10**12)))
+    assert bad.check_orthogonality() is False
+
+
+# Linear axioms hold and the tensor associates, but class 2 would be a perfect
+# matching on 5 points: the multiplicities come out as 5/2 and 3/2.
+NON_INTEGRAL_MULTIPLICITIES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (3, 1, 3), (0, 1, 0)),
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+)
+
+
+def test_rational_table_with_non_integral_multiplicities_raises():
+    s = Scheme(tensor=IntersectionTensor(NON_INTEGRAL_MULTIPLICITIES).validate())
+    assert all(pt.is_rational() for pt in variety_points(structure_basis(s)))
+    with pytest.raises(InternalInvariantViolation, match="multiplicity in \\[5/2, 5/2\\]"):
+        character_table(s)
 
 
 def test_trivial_scheme():

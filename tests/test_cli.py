@@ -233,6 +233,52 @@ def test_exit_2_gb_flag_misuse(ex1_file):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("m", [2049, 10**9])
+def test_exit_2_orbit_modulus_over_the_limit(m, tmp_path, monkeypatch):
+    from schemealg import cli
+    from schemealg.errors import ParseError
+
+    assert cli.MAX_ORBIT_M == 2048
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "orbit", "m": m, "r": 3}))
+
+    def must_not_build(m, r):
+        raise AssertionError("orbit_scheme ran")
+
+    monkeypatch.setattr(cli, "orbit_scheme", must_not_build)
+    with pytest.raises(ParseError, match=f"orbit m={m} exceeds the limit m <= 2048"):
+        cli.load_scheme(str(path))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert "m <= 2048" in r.stderr
+
+
+def test_orbit_modulus_at_the_limit_is_built(tmp_path, monkeypatch):
+    from schemealg import cli
+
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({"type": "orbit", "m": cli.MAX_ORBIT_M, "r": 3}))
+    monkeypatch.setattr(cli, "orbit_scheme", lambda m, r: ("built", m, r))
+    assert cli.load_scheme(str(path)) == ("built", 2048, 3)
+
+
+def test_exit_4_non_integral_multiplicities():
+    doc = json.dumps(
+        {
+            "type": "tensor",
+            "p": [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [3, 1, 3], [0, 1, 0]],
+                [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            ],
+        }
+    )
+    r = run_cli("chartab", "-", stdin=doc)
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert "multiplicity" in r.stderr
+
+
 def test_exit_3_asymmetric_labels():
     r = run_cli("validate", "-", stdin='{"type": "relations", "labels": [[0,1],[2,0]]}')
     assert r.returncode == 3

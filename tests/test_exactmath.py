@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from schemealg.errors import SingularMatrix, ZeroPolynomial
+from schemealg.errors import InternalInvariantViolation, SingularMatrix, ZeroPolynomial
 from schemealg.exactmath import (
+    REFINE_ROUNDS,
     Interval,
     QMatrix,
     RealRoot,
     UniPoly,
     format_decimal,
     real_roots,
+    refine_until,
     squarefree_part,
 )
 
@@ -228,6 +230,34 @@ class TestRealRoot:
         vals = [self.sqrt2(), RealRoot.rational(0), self.sqrt2().scale(-1), RealRoot.rational(2)]
         svals = sorted(vals)
         assert [v.decimal(2) for v in svals] == ["-1.41", "0.00", "1.41", "2.00"]
+
+
+class TestRefineUntil:
+    def test_undecided_verdict_exhausts_the_rounds_naming_the_layer(self):
+        sqrt2 = real_roots(upoly(1, 0, -2))[1]
+        rounds = []
+
+        def never(values):
+            rounds.append(values[0].width)
+
+        with pytest.raises(InternalInvariantViolation, match="^some layer: no certificate after 512"):
+            refine_until([sqrt2], never, "some layer")
+        assert len(rounds) == REFINE_ROUNDS == 512
+        # checked before the first refinement, then below 2^-8, 2^-10, ...
+        assert rounds[0] == sqrt2.width
+        assert all(w < Fraction(1, 2 ** (8 + 2 * r)) for r, w in enumerate(rounds[1:]))
+
+    def test_returns_the_first_decided_answer(self):
+        sqrt2 = real_roots(upoly(1, 0, -2))[1]
+        seen = []
+
+        def below_millionth(values):
+            seen.append(values)
+            return values[0] if values[0].width < Fraction(1, 10**6) else None
+
+        r = refine_until((sqrt2, RealRoot.rational(3)), below_millionth, "layer")
+        assert r == sqrt2 and r.width < Fraction(1, 10**6)
+        assert all(v[1] is seen[0][1] for v in seen)  # rationals are never refined
 
 
 class TestInterval:
