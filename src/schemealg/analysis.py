@@ -30,8 +30,9 @@ from .fglm import (
     fglm_from_matrices,
     moller_stetter_check,
     solve_triangular,
+    solved_forms,
 )
-from .polyring import Monomial, MonomialOrder, MPoly
+from .polyring import MonomialOrder, MPoly
 from .scheme import Scheme
 from .structure_ideal import StructureBasis, multiplication_matrix, structure_basis
 
@@ -75,20 +76,11 @@ def _points_from_generic(sb, ge, precision):
     nv = sb.nvars
     d = nv - 1
     ctx = _SolveContext(sb, precision)
+    exprs = [MPoly.from_unipoly(e, d, nv) for e in ge.expressions]
     points = []
     for root in real_roots(ge.eliminant, precision):
-        coords = []
-        for j in range(nv):
-            expr = ge.expressions[j]
-            if root.is_rational:
-                coords.append(RealRoot.rational(expr.evaluate(root.value)))
-            else:
-                coords.append(
-                    _algebraic_value(ctx, MPoly.from_unipoly(expr, d, nv), {d: root}, j)
-                )
-        if not (coords[0].is_rational and coords[0].value == 1):
-            raise InternalInvariantViolation("variety point has x0 != 1")
-        points.append(VarietyPoint(coordinates=_certify_point(ctx, tuple(coords))))
+        coords = tuple(_algebraic_value(ctx, e, {d: root}, j) for j, e in enumerate(exprs))
+        points.append(_certify_point(ctx, coords))
     return tuple(points)
 
 
@@ -251,18 +243,7 @@ class PPolyReport:
 
 def _solved_forms(rgb, smallest):
     """Map j -> q_j for every generator x_j - q_j(x_smallest) in the basis."""
-    nv = rgb.target_order.nvars
-    out = {}
-    for g in rgb.basis:
-        lm = g.leading_monomial(rgb.target_order)
-        if lm.degree == 1:
-            j = next(idx for idx, e in enumerate(lm) if e)
-            if j == smallest:
-                continue
-            tail = MPoly(nv, {m: -c for m, c in g.terms.items() if m != lm})
-            if tail.support_vars() <= {smallest}:
-                out[j] = tail.univariate_in(smallest)
-    return out
+    return {j: t.univariate_in(smallest) for j, t in solved_forms(rgb, {smallest}).items()}
 
 
 def _eliminant(rgb, var):
@@ -334,27 +315,11 @@ def express_in_terms_of(sb: StructureBasis, subset):
     if not subset or not all(isinstance(v, int) and 1 <= v < nv for v in subset):
         raise ValueError("subset must be a nonempty collection of classes 1..d")
     order = MonomialOrder.lex_block_smallest(nv, subset)
-    rgb = fglm_convert(sb, order)
-    allowed = set(subset)
-    out = {}
-    missing = []
-    for j in range(nv):
-        if j in allowed:
-            continue
-        expr = None
-        for g in rgb.basis:
-            if g.leading_monomial(order) == Monomial.variable(j, nv):
-                tail = MPoly(nv, {m: -c for m, c in g.terms.items() if m[j] == 0})
-                if tail.support_vars() <= allowed:
-                    expr = tail
-                break
-        if expr is None:
-            missing.append(j)
-        else:
-            out[j] = expr
+    forms = solved_forms(fglm_convert(sb, order), subset)
+    missing = [j for j in range(nv) if j not in subset and j not in forms]
     if missing:
-        raise NotExpressible(min(missing))
-    return out
+        raise NotExpressible(missing[0])
+    return {j: forms[j] for j in sorted(forms)}
 
 
 def minimal_generating_sets(s: Scheme):

@@ -8,8 +8,9 @@ Scheme descriptions are JSON documents, read from a file or stdin ("-"):
 
 Every command accepts --format text|json and writes one deterministic
 report to stdout.  Exit codes: 0 success, 2 unusable input (bad JSON,
-bad arguments, an orbit modulus m above MAX_ORBIT_M), 3 the input is not
-an association scheme, 4 analysis failed on a valid scheme.
+bad arguments or an argument out of its bounds, an orbit modulus m above
+MAX_ORBIT_M, a relations matrix with more than MAX_RELATIONS_V rows), 3 the
+input is not an association scheme, 4 analysis failed on a valid scheme.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ from .structure_ideal import structure_basis
 # An orbit scheme keeps an m x m label matrix; this bounds what a small JSON
 # document may ask to allocate.
 MAX_ORBIT_M = 2048
+# Building a scheme from a v x v label matrix checks the axioms in O(v^3)
+# time.
+MAX_RELATIONS_V = 256
+# Rendering an irrational entry bisects it to 10^-(digits+2), so the cost of
+# a chartab report grows with the digits asked for.
+MAX_DIGITS = 100
 
 _SCHEME_AXIOM_ERRORS = (
     NotAPartition,
@@ -97,6 +104,10 @@ def load_scheme(path: str) -> Scheme:
         labels = doc.get("labels")
         if not isinstance(labels, list) or not all(isinstance(r, list) for r in labels):
             raise ParseError("'labels' must be a list of rows")
+        if len(labels) > MAX_RELATIONS_V:
+            raise ParseError(
+                f"relations on v={len(labels)} points exceed the limit v <= {MAX_RELATIONS_V}"
+            )
         return scheme_from_relations(
             [[_as_int(x, "label") for x in row] for row in labels]
         )
@@ -180,6 +191,8 @@ def cmd_validate(args):
 
 
 def cmd_chartab(args):
+    if not 0 <= args.digits <= MAX_DIGITS:
+        raise ParseError(f"--digits must be between 0 and {MAX_DIGITS}")
     s = load_scheme(args.scheme)
     ct = character_table(s)
     lines = [
@@ -270,6 +283,10 @@ def cmd_mingen(args):
 
 
 def cmd_generator(args):
+    if args.max_coeff < 1:
+        raise ParseError("--max-coeff must be at least 1")
+    if args.max_attempts < 0:
+        raise ParseError("--max-attempts must be at least 0")
     s = load_scheme(args.scheme)
     ge = find_generic_element(
         s, rng_seed=args.seed, max_coeff=args.max_coeff, max_attempts=args.max_attempts

@@ -456,9 +456,6 @@ class Interval:
     def add(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def sub(self, other):
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
     def mul(self, other):
         cands = (
             self.lo * other.lo,
@@ -705,6 +702,14 @@ class RealRoot:
         while r.high - r.low >= max_width:
             r = r._bisected()
         return r
+
+    def is_root_of(self, p):
+        """Whether p vanishes here: exact evaluation on a rational, else
+        whether gcd(p, witness) has its one root in the isolating interval."""
+        if self.is_rational:
+            return p.evaluate(self.value) == 0
+        g = p.gcd(self.poly)
+        return g.degree >= 1 and _count_roots(_sturm_chain(g.primitive()), self.low, self.high) == 1
 
     def scale(self, c):
         """c * self for a nonzero rational c."""

@@ -3,9 +3,11 @@
 The quotient algebra of a structure ideal is finite-dimensional, so a target
 Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
-needed.  Variety points are then extracted from a lex basis: real roots of
-the eliminant, back-substitution through the remaining generators, and
-residual certification by interval enclosures (exact on rational points).
+needed.  `solved_forms` is the one reader of generators x_j - tail(smaller
+variables) off such a basis.  Variety points are then extracted from a lex
+basis: real roots of the eliminant, back-substitution through the remaining
+generators, and residual certification by interval enclosures (exact on
+rational points).
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangular
 from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
-    RealRoot,
-    _count_roots,
-    _sturm_chain,
     real_roots,
     refine_until,
 )
@@ -54,6 +53,25 @@ class VarietyPoint:
         if not self.is_rational():
             raise ValueError("point has irrational coordinates")
         return tuple(c.value for c in self.coordinates)
+
+
+def solved_forms(rgb: ReducedGB, allowed) -> dict:
+    """Map j -> tail for every generator x_j - tail of the basis whose j is
+    outside `allowed` and whose tail uses only `allowed` variables."""
+    allowed = set(allowed)
+    nv = rgb.target_order.nvars
+    out = {}
+    for g in rgb.basis:
+        lm = g.leading_monomial(rgb.target_order)
+        if lm.degree != 1:
+            continue
+        j = lm.index(1)
+        if j in allowed:
+            continue
+        tail = MPoly(nv, {m: -c for m, c in g.terms.items() if m != lm})
+        if tail.support_vars() <= allowed:
+            out[j] = tail
+    return out
 
 
 def fglm_convert(sb: StructureBasis, target: MonomialOrder) -> ReducedGB:
@@ -162,10 +180,11 @@ class _SolveContext:
 
 
 def _algebraic_value(ctx, expr: MPoly, assign, var):
-    """Value of `expr` at an assignment (dict variable -> RealRoot, at least
-    one irrational), known to be an eigenvalue of the var-th multiplication
-    matrix: the one spectrum value whose interval meets the interval
-    enclosure of `expr`, with the assignment refined until exactly one does."""
+    """Value of `expr` at an assignment (dict variable -> RealRoot), known to
+    be an eigenvalue of the var-th multiplication matrix: the one spectrum
+    value whose interval meets the interval enclosure of `expr`, with the
+    assignment refined until exactly one does (a rational assignment is a
+    point, so it decides in the first round)."""
     spectrum = ctx.spectrum(var)
     variables = list(assign)
 
@@ -182,14 +201,6 @@ def _algebraic_value(ctx, expr: MPoly, assign, var):
         return hits[0] if len(hits) == 1 else None
 
     return refine_until(assign.values(), verdict, "back-substitution")
-
-
-def _linear_solved_form(gen, order, y, nv):
-    """If gen = x_y - tail with tail free of x_y, return tail; else None."""
-    if gen.leading_monomial(order) != Monomial.variable(y, nv):
-        return None
-    tail = MPoly(nv, {m: -c for m, c in gen.terms.items() if m[y] == 0})
-    return tail
 
 
 def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECISION):
@@ -215,6 +226,7 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
         ]
         if not stage_gens:
             raise InternalInvariantViolation(f"no generator constrains x{y}")
+        forms = None  # read once per stage, the first time an irrational partial needs it
         nxt = []
         for assign in partials:
             if all(v.is_rational for v in assign.values()):
@@ -235,33 +247,27 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
                     ext[y] = root
                     nxt.append(ext)
             else:
-                tail = None
-                for g in stage_gens:
-                    tail = _linear_solved_form(g, order, y, nv)
-                    if tail is not None:
-                        break
-                if tail is None:
+                if forms is None:
+                    forms = solved_forms(rgb, stages[:idx])
+                if y not in forms:
                     raise NotTriangularEnough(
                         f"no solved form for x{y} over an irrational partial point"
                     )
                 ext = dict(assign)
-                ext[y] = _algebraic_value(ctx, tail, assign, y)
+                ext[y] = _algebraic_value(ctx, forms[y], assign, y)
                 nxt.append(ext)
         partials = nxt
-    points = []
-    for assign in partials:
-        coords = tuple(assign[j] for j in range(nv))
-        if not (coords[0].is_rational and coords[0].value == 1):
-            raise InternalInvariantViolation("variety point has x0 != 1")
-        points.append(VarietyPoint(coordinates=_certify_point(ctx, coords)))
-    return tuple(points)
+    return tuple(_certify_point(ctx, tuple(a[j] for j in range(nv))) for a in partials)
 
 
 def _certify_point(ctx, coords):
-    """Check the structure relations vanish at the point: every residual's
-    interval enclosure must contain 0 and be narrower than the precision.
-    Returns the coordinates, refined as far as that took (rational ones are
-    points, so on a rational point the check is exact and refines nothing)."""
+    """The variety point at `coords` (RealRoots, x0 first), certified: x0
+    must be 1, and every structure relation's residual must have an interval
+    enclosure that contains 0 and is narrower than the precision.  The point
+    keeps the coordinates as refined as that took (rational ones are points,
+    so on a rational point the check is exact and refines nothing)."""
+    if not (coords[0].is_rational and coords[0].value == 1):
+        raise InternalInvariantViolation("variety point has x0 != 1")
     basis = ctx.sb.basis
 
     def verdict(values):
@@ -276,7 +282,7 @@ def _certify_point(ctx, coords):
             worst = max(worst, enc.width)
         return tuple(values) if worst < ctx.precision else None
 
-    return refine_until(coords, verdict, "residual certification")
+    return VarietyPoint(refine_until(coords, verdict, "residual certification"))
 
 
 def moller_stetter_check(sb: StructureBasis, points) -> bool:
@@ -286,19 +292,8 @@ def moller_stetter_check(sb: StructureBasis, points) -> bool:
     points = tuple(points)
     if len(points) != sb.quotient_dimension:
         return False
-    nv = sb.nvars
-    for i in range(nv):
+    for i in range(sb.nvars):
         cp = multiplication_matrix(sb, i).charpoly()
-        sf = cp.squarefree_part().primitive()
-        for pt in points:
-            c = pt.coordinates[i]
-            if c.is_rational:
-                if cp.evaluate(c.value) != 0:
-                    return False
-            else:
-                g = sf.gcd(c.poly)
-                if g.degree == 0:
-                    return False
-                if _count_roots(_sturm_chain(g.primitive()), c.low, c.high) != 1:
-                    return False
+        if not all(pt.coordinates[i].is_root_of(cp) for pt in points):
+            return False
     return True

@@ -32,10 +32,6 @@ class RelationPartition:
     def size(self):
         return len(self.labels)
 
-    @property
-    def nclasses(self):
-        return 1 + max(max(row) for row in self.labels)
-
 
 @dataclass(frozen=True)
 class IntersectionTensor:

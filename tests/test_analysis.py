@@ -67,6 +67,45 @@ def test_relabeled_ex1_matches_by_column_permutation(ex1_scheme):
     assert _values(ct.P) == [[1, 2, 6], [1, 2, -3], [1, -1, 0]]
 
 
+def test_prime_power_character_table_takes_the_generic_fallback(monkeypatch):
+    # (25, 4) fails every lex conversion, so its points come from a generic
+    # element; its valency row comes from a rational eliminant root.
+    from schemealg import analysis
+
+    m = 25
+    s = orbit_scheme(m, 4)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _points_from_generic(*args)
+
+    monkeypatch.setattr(analysis, "_points_from_generic", recorded)
+    ct = character_table(s)
+    assert len(calls) == 1
+    mpmath = pytest.importorskip("mpmath")
+    classes = [[x for x in range(m) if s.partition.labels[x][0] == i] for i in range(s.d + 1)]
+    with mpmath.workdps(45):
+        tol = mpmath.mpf(10) ** -40
+
+        def mp(q):
+            q = Fraction(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def encloses(c, v):
+            iv = c.interval()
+            return mp(iv.lo) - tol <= v <= mp(iv.hi) + tol
+
+        matched = [0] * ct.size
+        for a in range(m):
+            periods = [mpmath.fsum(mpmath.cos(2 * mpmath.pi * a * x / m) for x in o) for o in classes]
+            rows = [nu for nu, row in enumerate(ct.P) if all(map(encloses, row, periods))]
+            assert len(rows) == 1
+            matched[rows[0]] += 1
+    # character a lands on row nu for exactly m_nu = Q[0][nu] values of a
+    assert matched == [q.value for q in ct.Q[0]]
+
+
 def test_pentagon_character_table_irrational():
     s = orbit_scheme(5, 4)
     ct = character_table(s)

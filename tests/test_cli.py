@@ -262,6 +262,83 @@ def test_orbit_modulus_at_the_limit_is_built(tmp_path, monkeypatch):
     assert cli.load_scheme(str(path)) == ("built", 2048, 3)
 
 
+def test_exit_2_relations_over_the_limit(tmp_path, monkeypatch):
+    from schemealg import cli
+    from schemealg.errors import ParseError
+
+    assert cli.MAX_RELATIONS_V == 256
+    path = tmp_path / "big.json"
+    # rows that would fail to convert, so the limit must be checked first
+    path.write_text(json.dumps({"type": "relations", "labels": [["x"]] * 257}))
+
+    def must_not_build(labels):
+        raise AssertionError("scheme_from_relations ran")
+
+    monkeypatch.setattr(cli, "scheme_from_relations", must_not_build)
+    with pytest.raises(ParseError, match="v=257 points exceed the limit v <= 256"):
+        cli.load_scheme(str(path))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert "v <= 256" in r.stderr
+
+
+def test_relations_at_the_limit_are_built(tmp_path, monkeypatch):
+    from schemealg import cli
+
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({"type": "relations", "labels": [[0]] * cli.MAX_RELATIONS_V}))
+    monkeypatch.setattr(cli, "scheme_from_relations", lambda labels: ("built", len(labels)))
+    assert cli.load_scheme(str(path)) == ("built", 256)
+
+
+def _forbid_analysis(monkeypatch):
+    from schemealg import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the scheme was loaded or analysed")
+
+    for name in ("load_scheme", "character_table", "find_generic_element"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    return cli
+
+
+@pytest.mark.parametrize("digits", ["-1", "101"])
+def test_exit_2_digits_out_of_bounds(digits, monkeypatch, capsys):
+    cli = _forbid_analysis(monkeypatch)
+    assert cli.MAX_DIGITS == 100
+    assert cli.main(["chartab", "-", "--digits", digits]) == 2
+    assert "--digits must be between 0 and 100" in capsys.readouterr().err
+
+
+def test_exit_2_max_coeff_below_one(monkeypatch, capsys):
+    cli = _forbid_analysis(monkeypatch)
+    assert cli.main(["generator", "-", "--max-coeff", "0"]) == 2
+    assert "--max-coeff must be at least 1" in capsys.readouterr().err
+
+
+def test_exit_2_negative_max_attempts(monkeypatch, capsys):
+    cli = _forbid_analysis(monkeypatch)
+    assert cli.main(["generator", "-", "--max-attempts", "-1"]) == 2
+    assert "--max-attempts must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartab", "--digits", "0"],
+        ["chartab", "--digits", "100"],
+        ["generator", "--max-coeff", "1", "--max-attempts", "0"],
+    ],
+)
+def test_arguments_at_their_bounds_are_accepted(argv, tmp_path, capsys):
+    from schemealg import cli
+
+    path = tmp_path / "pentagon.json"
+    path.write_text('{"type": "orbit", "m": 5, "r": 4}')
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_4_non_integral_multiplicities():
     doc = json.dumps(
         {

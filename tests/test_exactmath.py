@@ -231,6 +231,27 @@ class TestRealRoot:
         svals = sorted(vals)
         assert [v.decimal(2) for v in svals] == ["-1.41", "0.00", "1.41", "2.00"]
 
+    def test_is_root_of_rational(self):
+        three = RealRoot.rational(3)
+        assert three.is_root_of(upoly(1, -2, -3))  # (x - 3)(x + 1)
+        assert not three.is_root_of(upoly(1, 0, -2))
+
+    def test_is_root_of_irrational(self):
+        assert self.sqrt2().is_root_of(upoly(1, 0, -2) * upoly(1, -7))
+        assert not self.sqrt2().is_root_of(upoly(1, 0, -3))
+
+    def test_is_root_of_a_shared_factor_without_this_root(self):
+        witness = upoly(1, 0, -2) * upoly(1, 0, -3)
+        r = RealRoot.isolated(witness, Fraction(1), Fraction(3, 2))  # sqrt 2 alone
+        assert witness.gcd(upoly(1, 0, -3)).degree == 2
+        assert not r.is_root_of(upoly(1, 0, -3))
+        assert r.is_root_of(upoly(1, 0, -2))
+
+    def test_is_root_of_a_non_squarefree_polynomial(self):
+        charpoly = upoly(1, 0, -2) * upoly(1, 0, -2) * upoly(1, 1)  # (x^2 - 2)^2 (x + 1)
+        assert self.sqrt2().is_root_of(charpoly)
+        assert RealRoot.rational(-1).is_root_of(charpoly)
+
 
 class TestRefineUntil:
     def test_undecided_verdict_exhausts_the_rounds_naming_the_layer(self):
