@@ -9,8 +9,9 @@ Scheme descriptions are JSON documents, read from a file or stdin ("-"):
 Every command accepts --format text|json and writes one deterministic
 report to stdout.  Exit codes: 0 success, 2 unusable input (bad JSON,
 bad arguments or an argument out of its bounds, an orbit modulus m above
-MAX_ORBIT_M, a relations matrix with more than MAX_RELATIONS_V rows), 3 the
-input is not an association scheme, 4 analysis failed on a valid scheme.
+MAX_ORBIT_M, a relations matrix with more than MAX_RELATIONS_V rows, a
+scheme with more than MAX_CLASSES classes), 3 the input is not an
+association scheme, 4 analysis failed on a valid scheme.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ from .errors import (
 )
 from .fglm import fglm_convert
 from .polyring import MonomialOrder
-from .scheme import IntersectionTensor, Scheme, orbit_scheme, scheme_from_relations
+from .scheme import (
+    IntersectionTensor,
+    Scheme,
+    orbit_classes,
+    orbit_scheme,
+    scheme_from_relations,
+)
 from .structure_ideal import structure_basis
 
 # An orbit scheme keeps an m x m label matrix; this bounds what a small JSON
@@ -48,6 +55,9 @@ MAX_ORBIT_M = 2048
 # Building a scheme from a v x v label matrix checks the axioms in O(v^3)
 # time.
 MAX_RELATIONS_V = 256
+# A scheme with d classes has a (d+1)^3 intersection tensor, certified in
+# O(d^4) integer steps.
+MAX_CLASSES = 64
 # Rendering an irrational entry bisects it to 10^-(digits+2), so the cost of
 # a chartab report grows with the digits asked for.
 MAX_DIGITS = 100
@@ -78,6 +88,11 @@ def _check_keys(doc, allowed):
         raise ParseError(f"unexpected keys in scheme description: {sorted(extra)}")
 
 
+def _check_classes(d, what):
+    if d > MAX_CLASSES:
+        raise ParseError(f"{what}: d={d} classes exceed the limit d <= {MAX_CLASSES}")
+
+
 def load_scheme(path: str) -> Scheme:
     """Read and build a scheme from a JSON description file ('-' = stdin)."""
     try:
@@ -98,7 +113,9 @@ def load_scheme(path: str) -> Scheme:
         m = _as_int(doc["m"], "m")
         if m > MAX_ORBIT_M:
             raise ParseError(f"orbit m={m} exceeds the limit m <= {MAX_ORBIT_M}")
-        return orbit_scheme(m, _as_int(doc["r"], "r"))
+        r = _as_int(doc["r"], "r")
+        _check_classes(len(orbit_classes(m, r)[1]) - 1, f"orbit m={m}, r={r}")
+        return orbit_scheme(m, r)
     if kind == "relations":
         _check_keys(doc, {"type", "labels"})
         labels = doc.get("labels")
@@ -108,9 +125,9 @@ def load_scheme(path: str) -> Scheme:
             raise ParseError(
                 f"relations on v={len(labels)} points exceed the limit v <= {MAX_RELATIONS_V}"
             )
-        return scheme_from_relations(
-            [[_as_int(x, "label") for x in row] for row in labels]
-        )
+        rows = [[_as_int(x, "label") for x in row] for row in labels]
+        _check_classes(max((max(row) for row in rows if row), default=0), "relations")
+        return scheme_from_relations(rows)
     if kind == "tensor":
         _check_keys(doc, {"type", "p"})
         p = doc.get("p")
@@ -119,6 +136,7 @@ def load_scheme(path: str) -> Scheme:
         )
         if not ok:
             raise ParseError("'p' must be a triply nested list of integers")
+        _check_classes(len(p) - 1, "tensor")
         tensor = IntersectionTensor(
             tuple(
                 tuple(tuple(_as_int(x, "intersection number") for x in row) for row in pi)

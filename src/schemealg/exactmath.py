@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, InternalInvariantViolation, SingularMatrix, ZeroPolynomial
 
@@ -363,11 +364,6 @@ class QMatrix:
             raise DimensionMismatch(f"{self.shape} applied to length-{len(vec)} vector")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
     def rref(self):
         """Reduced row-echelon form; returns (matrix, pivot column indices)."""
         m = [list(r) for r in self.rows]
@@ -405,19 +401,25 @@ class QMatrix:
         return QMatrix(tuple(r[n:] for r in red.rows))
 
     def charpoly(self):
-        """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier."""
+        """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier, on
+        plain row lists: A_1 = M, A_k = M (A_{k-1} + c_{k-1} I) with
+        c_k = -tr(A_k) / k the coefficient of x^(n-k)."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("charpoly of a non-square matrix")
         n = self.nrows
         if n == 0:
             return UniPoly((1,))
+        rows = self.rows
         coeffs = [0] * n + [1]  # ascending; x^n coefficient 1
-        a = self
-        c = _num(-Fraction(a.trace()))
+        a = [list(r) for r in rows]
+        c = _num(-Fraction(sum(a[i][i] for i in range(n))))
         coeffs[n - 1] = c
         for k in range(2, n + 1):
-            a = self @ (a + QMatrix.identity(n).scale(c))
-            c = _num(-Fraction(a.trace(), k))
+            for i in range(n):
+                a[i][i] += c
+            cols = tuple(zip(*a))
+            a = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            c = _num(-Fraction(sum(a[i][i] for i in range(n)), k))
             coeffs[n - k] = c
         return UniPoly(coeffs)
 
@@ -512,10 +514,23 @@ def _sturm_chain(p):
     return chain
 
 
+def _sign_at(q, x):
+    """Sign of q(x), for an integer polynomial q and a rational x = a/b
+    (b > 0): the sign of b^n q(a/b), computed by integer Horner steps.
+    Rational coefficients give the exact sign too, through Fraction steps."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    bk = 1  # b^(n - k) at coefficient k
+    for c in reversed(q._c):
+        acc = acc * a + c * bk
+        bk *= b
+    return _sign(acc)
+
+
 def _variations(chain, x):
     signs = []
     for q in chain:
-        s = _sign(q.evaluate(x))
+        s = _sign_at(q, x)
         if s:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -540,19 +555,25 @@ def _positive_divisors(n):
 
 
 def _rational_candidate(q, lo, hi, lc_divisors):
-    """Search (lo, hi) for a rational root of q with denominator dividing lc."""
+    """Search (lo, hi) for a rational root of q with denominator dividing lc.
+
+    Returns (root or None, complete); complete says that no denominator was
+    skipped as too wide, so no sub-interval of (lo, hi) holds a candidate.
+    """
+    complete = True
     for b in lc_divisors:
         lo_b, hi_b = b * lo, b * hi
         first = math.floor(lo_b) + 1
         last = math.ceil(hi_b) - 1
         if last - first > 2:  # too wide for this denominator; try later
+            complete = False
             continue
         a = first
         while a <= last:
-            if lo_b < a < hi_b and q.evaluate(Fraction(a, b)) == 0:
-                return Fraction(a, b)
+            if lo_b < a < hi_b and _sign_at(q, Fraction(a, b)) == 0:
+                return Fraction(a, b), True
             a += 1
-    return None
+    return None, complete
 
 
 def _isolate(q, precision):
@@ -573,25 +594,30 @@ def _isolate(q, precision):
     while stack:
         lo, hi, n = stack.pop()
         if n == 1:
+            # q changes sign once in (lo, hi), so its sign at lo never changes
+            s_lo = _sign_at(q, lo)
+            searching = True
             while True:
-                cand = _rational_candidate(q, lo, hi, lc_divisors)
-                if cand is not None:
-                    return "rational", cand
+                if searching:
+                    cand, complete = _rational_candidate(q, lo, hi, lc_divisors)
+                    if cand is not None:
+                        return "rational", cand
+                    searching = not complete
                 w = hi - lo
                 if w < precision and w < guarantee:
                     break
                 mid = Fraction(lo + hi, 2)
-                vm = q.evaluate(mid)
-                if vm == 0:
+                s_mid = _sign_at(q, mid)
+                if s_mid == 0:
                     return "rational", mid
-                if _sign(q.evaluate(lo)) != _sign(vm):
+                if s_lo != s_mid:
                     hi = mid
                 else:
                     lo = mid
             found.append((lo, hi))
         else:
             mid = Fraction(lo + hi, 2)
-            if q.evaluate(mid) == 0:
+            if _sign_at(q, mid) == 0:
                 return "rational", mid
             nl = _count_roots(chain, lo, mid)
             if nl:
@@ -688,26 +714,33 @@ class RealRoot:
     def width(self):
         return 0 if self.is_rational else self.high - self.low
 
-    def _bisected(self):
+    def _sign_low(self):
+        # The witness changes sign once in (low, high), at the root, so its
+        # sign at low is the same for every bisected interval.
+        return _sign_at(self.poly, self.low)
+
+    def _bisected(self, s_low):
+        """The half of the interval holding the root; s_low is _sign_low()."""
         mid = Fraction(self.low + self.high, 2)
         # mid cannot be the root: the root is irrational
-        if _sign(self.poly.evaluate(self.low)) != _sign(self.poly.evaluate(mid)):
+        if s_low != _sign_at(self.poly, mid):
             return RealRoot.isolated(self.poly, self.low, mid)
         return RealRoot.isolated(self.poly, mid, self.high)
 
     def refine(self, max_width):
-        if self.is_rational:
+        if self.is_rational or self.high - self.low < max_width:
             return self
         r = self
+        s_low = self._sign_low()
         while r.high - r.low >= max_width:
-            r = r._bisected()
+            r = r._bisected(s_low)
         return r
 
     def is_root_of(self, p):
         """Whether p vanishes here: exact evaluation on a rational, else
         whether gcd(p, witness) has its one root in the isolating interval."""
         if self.is_rational:
-            return p.evaluate(self.value) == 0
+            return _sign_at(p, self.value) == 0
         g = p.gcd(self.poly)
         return g.degree >= 1 and _count_roots(_sturm_chain(g.primitive()), self.low, self.high) == 1
 
@@ -733,25 +766,32 @@ class RealRoot:
         if a.is_rational or b.is_rational:
             if a.is_rational:
                 return -(b.compare(a))
-            # a isolated, b rational: the root is irrational so never equal
+            # a isolated, b rational: the root is irrational so never equal,
+            # and inside the interval the witness has its sign at low exactly
+            # left of the root
             q = b.value
-            r = a
-            while r.low < q < r.high:
-                r = r._bisected()
-            return -1 if r.high <= q else 1
-        # both isolated: decide equality via common roots of gcd in the overlap
-        g = a.poly.gcd(b.poly)
+            if q >= a.high:
+                return -1
+            if q <= a.low:
+                return 1
+            return 1 if _sign_at(a.poly, q) == a._sign_low() else -1
+        # both isolated: decide equality via common roots of gcd in the overlap;
+        # the gcd's Sturm chain is built once, when the intervals first overlap
         ra, rb = a, b
+        chain = None
         while True:
             if ra.high <= rb.low:
                 return -1
             if rb.high <= ra.low:
                 return 1
-            if g.degree >= 1:
-                lo, hi = max(ra.low, rb.low), min(ra.high, rb.high)
-                if lo < hi and _count_roots(_sturm_chain(g.primitive()), lo, hi) == 1:
-                    return 0
-            ra, rb = ra._bisected(), rb._bisected()
+            if chain is None:
+                g = a.poly.gcd(b.poly)
+                chain = _sturm_chain(g.primitive()) if g.degree >= 1 else []
+                sa, sb = a._sign_low(), b._sign_low()
+            # the intervals overlap, so max(lows) < min(highs)
+            if chain and _count_roots(chain, max(ra.low, rb.low), min(ra.high, rb.high)) == 1:
+                return 0
+            ra, rb = ra._bisected(sa), rb._bisected(sb)
 
     def __eq__(self, other):
         if not isinstance(other, (RealRoot, int, Fraction)):

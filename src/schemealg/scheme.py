@@ -185,9 +185,10 @@ def scheme_from_relations(labels):
     return Scheme(tensor=tensor, partition=RelationPartition(rows), origin="relations")
 
 
-def orbit_scheme(m, r):
-    """The scheme on Z_m whose classes are the orbits of <r, -1> acting by
-    multiplication; class i of (x, y) is the orbit of x - y."""
+def orbit_classes(m, r):
+    """The orbits of <r, -1> acting by multiplication on Z_m, as (orbit_of,
+    reps): orbit_of[x] is the orbit index of x, reps[k] the smallest member of
+    orbit k (so orbit 0 is {0}, and the scheme has len(reps) - 1 classes)."""
     if not (isinstance(m, int) and isinstance(r, int)):
         raise InvalidRadix("m and r must be integers")
     if r <= 1 or r >= m or math.gcd(r, m) != 1:
@@ -203,12 +204,19 @@ def orbit_scheme(m, r):
                 group.add(nxt)
                 frontier.append(nxt)
     orbit_of = [None] * m
-    reps = []  # reps[k] = smallest member of orbit k
+    reps = []
     for x in range(m):  # ascending, so orbit indices sort by minimal representative
         if orbit_of[x] is None:
             for h in group:
                 orbit_of[(h * x) % m] = len(reps)
             reps.append(x)
+    return orbit_of, reps
+
+
+def orbit_scheme(m, r):
+    """The scheme on Z_m whose classes are the orbits of <r, -1> acting by
+    multiplication; class i of (x, y) is the orbit of x - y."""
+    orbit_of, reps = orbit_classes(m, r)
     labels = tuple(tuple(orbit_of[(x - y) % m] for y in range(m)) for x in range(m))
     # Classes depend on x - y only, so count p_ij^k at the pair (reps[k], 0).
     n = len(reps)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests (subprocess, golden outputs, exit codes)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -289,6 +290,84 @@ def test_relations_at_the_limit_are_built(tmp_path, monkeypatch):
     path.write_text(json.dumps({"type": "relations", "labels": [[0]] * cli.MAX_RELATIONS_V}))
     monkeypatch.setattr(cli, "scheme_from_relations", lambda labels: ("built", len(labels)))
     assert cli.load_scheme(str(path)) == ("built", 256)
+
+
+def test_exit_2_orbit_over_the_class_limit(tmp_path, monkeypatch):
+    from schemealg import cli
+    from schemealg.errors import ParseError
+
+    assert cli.MAX_CLASSES == 64
+    path = tmp_path / "d65.json"
+    path.write_text(json.dumps({"type": "orbit", "m": 131, "r": 130}))  # d = 65
+
+    def must_not_build(m, r):
+        raise AssertionError("orbit_scheme ran")
+
+    monkeypatch.setattr(cli, "orbit_scheme", must_not_build)
+    with pytest.raises(ParseError, match="orbit m=131, r=130: d=65 classes exceed the limit d <= 64"):
+        cli.load_scheme(str(path))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert "d <= 64" in r.stderr
+
+
+def test_orbit_at_the_class_limit_is_built(tmp_path, monkeypatch):
+    from schemealg import cli
+
+    path = tmp_path / "d64.json"
+    path.write_text(json.dumps({"type": "orbit", "m": 129, "r": 128}))  # d = 64
+    monkeypatch.setattr(cli, "orbit_scheme", lambda m, r: ("built", m, r))
+    assert cli.load_scheme(str(path)) == ("built", 129, 128)
+
+
+def test_exit_2_relations_over_the_class_limit(tmp_path, monkeypatch):
+    from schemealg import cli
+    from schemealg.errors import ParseError
+
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"type": "relations", "labels": [[0, 65], [65, 0]]}))
+
+    def must_not_build(labels):
+        raise AssertionError("scheme_from_relations ran")
+
+    monkeypatch.setattr(cli, "scheme_from_relations", must_not_build)
+    with pytest.raises(ParseError, match="relations: d=65 classes exceed the limit d <= 64"):
+        cli.load_scheme(str(path))
+    path.write_text(json.dumps({"type": "relations", "labels": [[0, 64], [64, 0]]}))
+    monkeypatch.setattr(cli, "scheme_from_relations", lambda labels: ("built", labels))
+    assert cli.load_scheme(str(path)) == ("built", [[0, 64], [64, 0]])
+
+
+def test_exit_2_tensor_over_the_class_limit(tmp_path):
+    from schemealg import cli
+    from schemealg.errors import ParseError
+
+    path = tmp_path / "tensor.json"
+    # entries that would fail to convert, so the limit must be checked first
+    path.write_text(json.dumps({"type": "tensor", "p": [[["x"]]] * 66}))
+    with pytest.raises(ParseError, match="tensor: d=65 classes exceed the limit d <= 64"):
+        cli.load_scheme(str(path))
+
+
+# sha256 of `chartab --format json` stdout.  The JSON report prints the
+# isolating interval of every irrational entry, so these pin the endpoints
+# that root isolation and certification produce, not only the values.
+CHARTAB_JSON_SHA256 = {
+    (10, 9): "258d8a5e3cb49bde0d1304b0cff4ab836ce4aad0b9bacdfabd1022cd9fd9feec",
+    (13, 5): "6040971b204400c9e6d9644985a55a53cd18442194365fd4098afd678adc5a99",
+    (25, 4): "1ebb3dae1ef0a115aaa7b132275d093040e01f363a33a6cbc64e9c1c06dd3cf5",
+}
+
+
+@pytest.mark.parametrize("m, r", sorted(CHARTAB_JSON_SHA256))
+def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
+    from schemealg import cli
+
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"type": "orbit", "m": m, "r": r}))
+    assert cli.main(["chartab", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_JSON_SHA256[(m, r)]
 
 
 def _forbid_analysis(monkeypatch):

@@ -10,6 +10,8 @@ from schemealg.exactmath import (
     QMatrix,
     RealRoot,
     UniPoly,
+    _sign,
+    _sign_at,
     format_decimal,
     real_roots,
     refine_until,
@@ -88,6 +90,23 @@ class TestQMatrix:
         for d in diag:
             expect = expect * UniPoly((-d, 1))
         assert QMatrix(rows).charpoly() == expect
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_charpoly_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(900 + seed)
+        n = rng.randint(1, 7)
+        if seed % 2:
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        x = sympy.Symbol("x")
+        ref = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+        ).charpoly(x)
+        expect = [Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())]
+        assert QMatrix(rows).charpoly() == UniPoly(expect)
 
 
 class TestUniPoly:
@@ -191,6 +210,36 @@ class TestRealRoots:
         assert [r.value for r in roots] == wanted
 
 
+    def test_endpoints_with_a_non_dyadic_cauchy_bound(self):
+        # 3x^2 - 5: the bound 1 + 5/3 = 8/3 is not an integer, so bisection
+        # from (-8/3, 8/3) gives endpoints with a factor 3 in the denominator.
+        # The JSON reports print these endpoints, so they are pinned exactly.
+        roots = real_roots(upoly(3, 0, -5))
+        lo = Fraction(818264943915628068343207418581, 633825300114114700748351602688)
+        hi = Fraction(1227397415873442102514811127871, 950737950171172051122527404032)
+        assert [(r.low, r.high) for r in roots] == [(-lo, -hi), (hi, lo)]
+        assert all(r.poly == upoly(3, 0, -5) for r in roots)
+
+
+class TestSignKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sign_at_matches_fraction_horner(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(40):
+            q = UniPoly([rng.randint(-50, 50) for _ in range(rng.randint(1, 9))])
+            points = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(6)]
+            points += [rng.randint(-20, 20), Fraction(0)]
+            if q:
+                # make some points exact roots: multiply in (b x - a)
+                a, b = rng.randint(-30, 30), rng.randint(1, 12)
+                q = q * UniPoly((-a, b))
+                points.append(Fraction(a, b))
+            for x in points:
+                assert _sign_at(q, x) == _sign(q.evaluate(x))
+            if q:
+                assert _sign_at(q, points[-1]) == 0
+
+
 class TestRealRoot:
     def sqrt2(self):
         return real_roots(upoly(1, 0, -2))[1]
@@ -200,6 +249,14 @@ class TestRealRoot:
         assert RealRoot.rational(Fraction(3, 2)) > s
         assert RealRoot.rational(Fraction(7, 5)) < s
         assert s != RealRoot.rational(Fraction(141421356, 100000000))
+
+    def test_compare_with_a_rational_inside_the_interval(self):
+        x2m2 = upoly(1, 0, -2)
+        plus = RealRoot.isolated(x2m2, Fraction(1), Fraction(2))  # the witness rises
+        minus = RealRoot.isolated(x2m2, Fraction(-2), Fraction(-1))  # the witness falls
+        assert plus.compare(Fraction(7, 5)) == 1 and plus.compare(Fraction(3, 2)) == -1
+        assert minus.compare(Fraction(-3, 2)) == 1 and minus.compare(Fraction(-7, 5)) == -1
+        assert RealRoot.rational(Fraction(3, 2)).compare(plus) == 1
 
     def test_equality_of_irrationals(self):
         a = real_roots(upoly(1, 0, -2))[1]
