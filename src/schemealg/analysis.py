@@ -29,6 +29,7 @@ from .fglm import (
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
+    shape_forms,
     solve_triangular,
     solved_forms,
 )
@@ -241,18 +242,6 @@ class PPolyReport:
     eliminant: UniPoly | None = None
 
 
-def _solved_forms(rgb, smallest):
-    """Map j -> q_j for every generator x_j - q_j(x_smallest) in the basis."""
-    return {j: t.univariate_in(smallest) for j, t in solved_forms(rgb, {smallest}).items()}
-
-
-def _eliminant(rgb, var):
-    cands = [g for g in rgb.basis if g.support_vars() <= {var}]
-    if len(cands) != 1:
-        raise InternalInvariantViolation(f"expected one eliminant in x{var}, found {len(cands)}")
-    return cands[0].univariate_in(var)
-
-
 def check_p_polynomial(s: Scheme) -> PPolyReport:
     """Decide whether some class makes the scheme P-polynomial (metric).
 
@@ -269,7 +258,7 @@ def check_p_polynomial(s: Scheme) -> PPolyReport:
     diagnostics = {}
     for i in range(1, nv):
         rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
-        elim = _eliminant(rgb, i)
+        elim, exprs = shape_forms(rgb, i)
         if elim.degree != d + 1:
             diagnostics[i] = (
                 f"eliminant degree {elim.degree} < {d + 1}: "
@@ -278,10 +267,6 @@ def check_p_polynomial(s: Scheme) -> PPolyReport:
             continue
         if not elim.is_squarefree():
             diagnostics[i] = "eliminant is not squarefree"
-            continue
-        exprs = _solved_forms(rgb, i)
-        if set(exprs) != set(range(nv)) - {i}:
-            diagnostics[i] = "missing solved forms despite a full-degree eliminant"
             continue
         degs = sorted(exprs[j].degree for j in range(1, nv) if j != i)
         if degs != list(range(2, d + 1)):
@@ -401,14 +386,9 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
         eff = list(mats)
         eff[d] = eff_last
         rgb = fglm_from_matrices(eff, order)
-        exprs = _solved_forms(rgb, d)
+        elim, exprs = shape_forms(rgb, d)
         missing = [j for j in range(d) if j not in exprs]
         if not missing:
-            elim = _eliminant(rgb, d)
-            if elim.degree != d + 1:
-                raise InternalInvariantViolation(
-                    f"separating candidate has minimal polynomial of degree {elim.degree}"
-                )
             if not elim.is_squarefree():
                 raise InternalInvariantViolation(
                     "separating candidate has a repeated eigenvalue; the ideal is not radical"

@@ -4,10 +4,11 @@ The quotient algebra of a structure ideal is finite-dimensional, so a target
 Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
 needed.  `solved_forms` is the one reader of generators x_j - tail(smaller
-variables) off such a basis.  Variety points are then extracted from a lex
-basis: real roots of the eliminant, back-substitution through the remaining
-generators, and residual certification by interval enclosures (exact on
-rational points).
+variables) off such a basis, and `shape_forms` reads a lex basis in its
+shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
+extracted from a lex basis: real roots of the eliminant, back-substitution
+through the remaining generators, and residual certification by interval
+enclosures (exact on rational points).
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ def solved_forms(rgb: ReducedGB, allowed) -> dict:
         if tail.support_vars() <= allowed:
             out[j] = tail
     return out
+
+
+def shape_forms(rgb: ReducedGB, v):
+    """Read a lex basis with x_v smallest as (f, {j: q_j}): its eliminant
+    f(x_v) and the univariate q_j of every solved form x_j - q_j(x_v).  By the
+    shape lemma the forms cover every other variable exactly when deg f is
+    the quotient dimension."""
+    (f,) = (g.univariate_in(v) for g in rgb.basis if g.support_vars() <= {v})
+    return f, {j: t.univariate_in(v) for j, t in solved_forms(rgb, {v}).items()}
 
 
 def fglm_convert(sb: StructureBasis, target: MonomialOrder) -> ReducedGB:
@@ -224,24 +234,13 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
         stage_gens = [
             g for g in gens if y in g.support_vars() and g.support_vars() <= allowed
         ]
-        if not stage_gens:
-            raise InternalInvariantViolation(f"no generator constrains x{y}")
         forms = None  # read once per stage, the first time an irrational partial needs it
         nxt = []
         for assign in partials:
             if all(v.is_rational for v in assign.values()):
                 values = {j: v.value for j, v in assign.items()}
-                upolys = []
-                for g in stage_gens:
-                    h = g.partial_eval(values)
-                    u = h.univariate_in(y)
-                    if not u.is_zero():
-                        upolys.append(u)
-                if not upolys:
-                    raise InternalInvariantViolation(f"x{y} became unconstrained")
-                h = reduce(lambda a, b: a.gcd(b), upolys)
-                if h.degree == 0:
-                    continue  # no common root: no real extension of this branch
+                upolys = [g.partial_eval(values).univariate_in(y) for g in stage_gens]
+                h = reduce(lambda a, b: a.gcd(b), (u for u in upolys if not u.is_zero()))
                 for root in real_roots(h, ctx.precision):
                     ext = dict(assign)
                     ext[y] = root

@@ -78,7 +78,7 @@ class IntersectionTensor:
                         f"identity class: p_0{j}^{k} = {self.p[0][j][k]}"
                     )
         ks = self.valencies
-        if ks[0] != 1 or any(v < 1 for v in ks):
+        if not ks or ks[0] != 1 or any(v < 1 for v in ks):
             raise NotConstantIntersectionNumber(f"invalid valencies {ks}")
         for i in range(n):
             for k in range(n):

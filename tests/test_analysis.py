@@ -226,6 +226,17 @@ def test_p_polynomial_verdict_survives_relabeling(ex1_scheme, hamming_scheme):
     assert rep.distance_relabeling == (0, 3, 2, 1)
 
 
+# x1^2 = 0: a tensor that never went through validate, whose one class is
+# nilpotent, so every eliminant in x1 has a double root
+NILPOTENT = Scheme(IntersectionTensor((((1, 0), (0, 1)), ((0, 1), (0, 0)))))
+
+
+def test_p_polynomial_reports_a_non_squarefree_eliminant():
+    rep = check_p_polynomial(NILPOTENT)
+    assert not rep.is_p_polynomial
+    assert rep.diagnostics == {1: "eliminant is not squarefree"}
+
+
 # ---------------------------------------------------------------------------
 # expressibility
 # ---------------------------------------------------------------------------
@@ -309,6 +320,11 @@ def test_generic_element_ex2(ex2_scheme):
     roots = real_roots(ge.eliminant)
     points = {tuple(e.evaluate(r.value) for e in ge.expressions) for r in roots}
     assert points == {(1, 4, 2, 1), (1, -4, 2, 1), (1, 0, 0, -1), (1, 0, -2, 1)}
+
+
+def test_generic_element_rejects_a_repeated_eigenvalue():
+    with pytest.raises(InternalInvariantViolation, match="has a repeated eigenvalue"):
+        find_generic_element(NILPOTENT)
 
 
 def test_generic_element_many_seeds_terminate(ex2_scheme):

@@ -359,15 +359,50 @@ CHARTAB_JSON_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("m, r", sorted(CHARTAB_JSON_SHA256))
-def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
+# sha256 of `ppoly` and `generator` stdout in both formats: the verdicts and
+# diagnostics read off each lex basis, and the generic element's eliminant and
+# expressions.  (13, 5) fails on the degree sequence, (25, 4) on the eliminant
+# degree and needs a coordinate change, (31, 5) fails on the degree sequence
+# with d = 5, and the pentagon (5, 4) is P-polynomial.
+REPORT_SHA256 = {
+    ("generator", 5, 4, "json"): "b88cdb1504d3e13ab1ee1eedda70fae4522df19a13b24c6fe892ee1ccafbd533",
+    ("generator", 5, 4, "text"): "9f440046f951ca1ee271756cbec26595c74aa9ce7a74719f2685efa9edd3882b",
+    ("generator", 13, 5, "json"): "cd1a43d8e5b0cbaa6b9274d07082a6f18507b75dd2f811040f335878b991614f",
+    ("generator", 13, 5, "text"): "46ec4b91e9f4f9190089d1029b55a24fad7fbcb09da2029f5cf81d25bc8cfe30",
+    ("generator", 25, 4, "json"): "09744d7d72f16f77e098bd8357906a15aa3c16096b7639ecc691f75ded45f2d5",
+    ("generator", 25, 4, "text"): "dadde9e44efd195bcea3d35209cd5c319ef7ac7536c5d7de5e3ab557faa2033b",
+    ("generator", 31, 5, "json"): "44c525f8d5cd26a9f02175878d8610552d95ff037db3dc7b0acead1166bb870d",
+    ("generator", 31, 5, "text"): "bb11816affc48b563992931a4dee06261a678d1b79d4e30b03acdbcd7ac81850",
+    ("ppoly", 5, 4, "json"): "59ee3d8877407d61f51e06332a800e96889b6c4c3b6a8ac64da4345829c700ab",
+    ("ppoly", 5, 4, "text"): "6d8d13b67107023dcd6ec28ebb81907c515b1819610964c88339844e1709f418",
+    ("ppoly", 13, 5, "json"): "9f7c77cda9cf24aa4394821491edbb25e61ad3f7dd009e8568f924e6c93518c5",
+    ("ppoly", 13, 5, "text"): "927a1467181bbf4142bfdb50078dbd876560365c95436856c362f672239b69f6",
+    ("ppoly", 25, 4, "json"): "9f87c4eb08bcd8ca628e8f6e7eac72abae9703ade3381726d022d46190d2f267",
+    ("ppoly", 25, 4, "text"): "bc6f02d6cf71b8967c6b02ac08d2d4ff29cfa77bdbba2841159b1f884c53a3a9",
+    ("ppoly", 31, 5, "json"): "d31e44c70919027c67efe6af5c29f6e7a1b372124d9525a0af5a69f8be118f78",
+    ("ppoly", 31, 5, "text"): "7c3d76f5a0a7ee298a40cf0604acf9393791d45f2356ef696a75bc64b55d30fa",
+}
+
+
+def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys):
     from schemealg import cli
 
     path = tmp_path / "scheme.json"
     path.write_text(json.dumps({"type": "orbit", "m": m, "r": r}))
-    assert cli.main(["chartab", str(path), "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_JSON_SHA256[(m, r)]
+    assert cli.main([cmd, str(path), "--format", fmt]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, r", sorted(CHARTAB_JSON_SHA256))
+def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
+    digest = _orbit_stdout_sha256("chartab", m, r, "json", tmp_path, capsys)
+    assert digest == CHARTAB_JSON_SHA256[(m, r)]
+
+
+@pytest.mark.parametrize("cmd, m, r, fmt", sorted(REPORT_SHA256))
+def test_ppoly_and_generator_reports_are_pinned(cmd, m, r, fmt, tmp_path, capsys):
+    digest = _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys)
+    assert digest == REPORT_SHA256[(cmd, m, r, fmt)]
 
 
 def _forbid_analysis(monkeypatch):
@@ -439,6 +474,13 @@ def test_exit_3_asymmetric_labels():
     r = run_cli("validate", "-", stdin='{"type": "relations", "labels": [[0,1],[2,0]]}')
     assert r.returncode == 3
     assert "not a scheme:" in r.stderr
+
+
+def test_exit_3_empty_tensor():
+    for cmd in ("validate", "ppoly"):
+        r = run_cli(cmd, "-", stdin='{"type": "tensor", "p": []}')
+        assert r.returncode == 3
+        assert r.stderr == "not a scheme: invalid valencies ()\n"
 
 
 def test_exit_3_bad_radix():

@@ -1,0 +1,84 @@
+"""Character tables against closed forms that do not come from the program:
+Krawtchouk polynomials for Hamming schemes and Eberlein polynomials for
+Johnson schemes (Delsarte 1973; Bannai-Ito, Algebraic Combinatorics I,
+section 3.2).  Both families are metric in the distance class."""
+
+import itertools
+from math import comb
+
+import pytest
+
+from schemealg.analysis import character_table, check_p_polynomial
+from schemealg.scheme import scheme_from_relations
+
+
+def hamming(n, q):
+    """H(n, q): words of length n over q letters, classed by Hamming distance."""
+    words = list(itertools.product(range(q), repeat=n))
+    return scheme_from_relations(
+        [[sum(a != b for a, b in zip(x, y)) for y in words] for x in words]
+    )
+
+
+def johnson(n, k):
+    """J(n, k): k-subsets of an n-set, A ~ B in class k - |A & B|."""
+    sets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+    return scheme_from_relations([[k - len(a & b) for b in sets] for a in sets])
+
+
+def krawtchouk_rows(n, q):
+    """P[x][i] = K_i(x) = sum_h (-1)^h (q-1)^(i-h) C(x, h) C(n-x, i-h)."""
+    return [
+        tuple(
+            sum((-1) ** h * (q - 1) ** (i - h) * comb(x, h) * comb(n - x, i - h) for h in range(i + 1))
+            for i in range(n + 1)
+        )
+        for x in range(n + 1)
+    ]
+
+
+def eberlein_rows(n, k):
+    """P[j][i] = E_i(j) = sum_h (-1)^h C(j, h) C(k-j, i-h) C(n-k-j, i-h)."""
+    return [
+        tuple(
+            sum((-1) ** h * comb(j, h) * comb(k - j, i - h) * comb(n - k - j, i - h) for h in range(i + 1))
+            for i in range(k + 1)
+        )
+        for j in range(k + 1)
+    ]
+
+
+# name -> (v, scheme builder, closed-form rows, their arguments)
+CASES = {
+    "H(4,3)": (81, hamming, krawtchouk_rows, (4, 3)),
+    "J(8,3)": (56, johnson, eberlein_rows, (8, 3)),
+    "J(10,4)": (210, johnson, eberlein_rows, (10, 4)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    v, build, rows, args = CASES[request.param]
+    s = build(*args)
+    assert s.order == v
+    return s, rows(*args)
+
+
+def test_p_matches_the_closed_form_up_to_row_order(case):
+    s, rows = case
+    assert sorted(character_table(s).p_fractions()) == sorted(rows)
+
+
+def test_distance_class_makes_the_scheme_p_polynomial(case):
+    s, _ = case
+    d = s.d
+    rep = check_p_polynomial(s)
+    assert rep.is_p_polynomial
+    assert rep.generator_variable == 1
+    assert rep.distance_relabeling == tuple(range(d + 1))
+    # move the distance-1 class to the last label and every other up by one
+    perm = (0, d, *range(1, d))
+    rep = check_p_polynomial(s.relabel(perm))
+    assert rep.is_p_polynomial
+    assert rep.generator_variable == d
+    assert all(rep.distance_relabeling[perm[i]] == i for i in range(d + 1))

@@ -1,10 +1,12 @@
 """Tests for order conversion and triangular solving."""
 
 import random
+from math import gcd
 
 import pytest
 from conftest import parse_basis, parse_poly
 
+from schemealg.analysis import find_generic_element
 from schemealg.errors import InternalInvariantViolation, NotTriangularEnough
 from schemealg.exactmath import RealRoot, UniPoly, real_roots
 from schemealg.fglm import (
@@ -13,6 +15,7 @@ from schemealg.fglm import (
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
+    shape_forms,
     solve_triangular,
 )
 from schemealg.polyring import Monomial, MonomialOrder, PolyBasis, normal_form
@@ -217,8 +220,6 @@ def test_moller_stetter_rejects_wrong_count_and_values(ex1_scheme):
 
 
 def test_random_roundtrip_and_solve():
-    from math import gcd
-
     rng = random.Random(99)
     seen = 0
     while seen < 5:
@@ -238,3 +239,39 @@ def test_random_roundtrip_and_solve():
         for g in lex.basis:
             assert normal_form(g, sb.basis).is_zero()
         assert len(lex.normal_set) == nv
+
+
+def test_lex_bases_of_orbit_schemes_have_the_shape_lemma_form():
+    # Every distinct orbit tensor with 3 <= m <= 28, every class as the
+    # smallest lex variable: the facts `shape_forms`, `check_p_polynomial`,
+    # `find_generic_element` and `solve_triangular` rely on instead of
+    # checking them.
+    tensors = {}
+    for m in range(3, 29):
+        for r in range(2, m):
+            if gcd(r, m) == 1:
+                s = orbit_scheme(m, r)
+                tensors.setdefault(s.tensor.p, s)
+    assert len(tensors) == 68
+    conversions = 0
+    for s in tensors.values():
+        sb = structure_basis(s)
+        nv = sb.nvars
+        for v in range(1, nv):
+            rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, v))
+            order = rgb.target_order
+            conversions += 1
+            assert sum(g.support_vars() <= {v} for g in rgb.basis) == 1
+            f, forms = shape_forms(rgb, v)
+            assert (f.degree == nv) == (set(forms) == set(range(nv)) - {v})
+            # each variable leads a generator by a pure power, and such a
+            # generator involves only that variable and smaller ones
+            leads = [(g, g.leading_monomial(order)) for g in rgb.basis]
+            below = set()
+            for y in reversed(order.priority):
+                below.add(y)
+                leaders = [g for g, lm in leads if 0 < lm[y] == lm.degree]
+                assert leaders
+                assert all(g.support_vars() <= below for g in leaders)
+        assert find_generic_element(s).eliminant.degree == nv
+    assert conversions == 370

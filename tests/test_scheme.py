@@ -184,6 +184,10 @@ class TestTensorValidation:
         with pytest.raises(NotConstantIntersectionNumber):
             IntersectionTensor(p).validate()
 
+    def test_empty_tensor_rejected(self):
+        with pytest.raises(NotConstantIntersectionNumber, match="invalid valencies"):
+            IntersectionTensor(()).validate()
+
     def test_relabel_round_trip(self, ex2_scheme):
         s2 = ex2_scheme.relabel((0, 2, 3, 1))
         assert s2.valencies == (1, 1, 4, 2)
