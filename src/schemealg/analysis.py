@@ -19,7 +19,7 @@ from functools import cmp_to_key
 from math import ceil, floor
 
 from .errors import AttemptsExhausted, InternalInvariantViolation, NotExpressible, NotTriangularEnough
-from .exactmath import DEFAULT_PRECISION, RealRoot, UniPoly, real_roots, refine_until
+from .exactmath import RealRoot, UniPoly, real_roots, refine_until
 from .fglm import (
     ReducedGB,
     VarietyPoint,
@@ -51,7 +51,7 @@ def _cmp_rows(a, b):
 # ---------------------------------------------------------------------------
 
 
-def variety_points(sb: StructureBasis, precision=DEFAULT_PRECISION):
+def variety_points(sb: StructureBasis):
     """All common zeros of the structure ideal, exactly.
 
     Tries each variable in turn as the smallest one of a pure-lex order; if
@@ -66,20 +66,20 @@ def variety_points(sb: StructureBasis, precision=DEFAULT_PRECISION):
     for i in range(1, nv):
         rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
         try:
-            return solve_triangular(rgb, sb, precision)
+            return solve_triangular(rgb, sb)
         except NotTriangularEnough:
             continue
     ge = _generic_element(sb, rng_seed=0, max_coeff=10, max_attempts=32)
-    return _points_from_generic(sb, ge, precision)
+    return _points_from_generic(sb, ge)
 
 
-def _points_from_generic(sb, ge, precision):
+def _points_from_generic(sb, ge):
     nv = sb.nvars
     d = nv - 1
-    ctx = _SolveContext(sb, precision)
+    ctx = _SolveContext(sb)
     exprs = [MPoly.from_unipoly(e, d, nv) for e in ge.expressions]
     points = []
-    for root in real_roots(ge.eliminant, precision):
+    for root in real_roots(ge.eliminant):
         coords = tuple(_algebraic_value(ctx, e, {d: root}, j) for j, e in enumerate(exprs))
         points.append(_certify_point(ctx, coords))
     return tuple(points)
@@ -88,6 +88,10 @@ def _points_from_generic(sb, ge, precision):
 # ---------------------------------------------------------------------------
 # character table
 # ---------------------------------------------------------------------------
+
+
+# width below which check_orthogonality accepts an entry of P @ Q
+ORTHOGONALITY_WIDTH = Fraction(1, 10**20)
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,9 @@ class CharacterTable:
             raise ValueError("character table has irrational entries")
         return tuple(tuple(c.value for c in row) for row in self.Q)
 
-    def check_orthogonality(self, tolerance=Fraction(1, 10**20)) -> bool:
+    def check_orthogonality(self) -> bool:
         """Certify P @ Q = |X| * I by interval enclosures of every entry,
-        refined until each is pinned within `tolerance` of its target (exact
+        refined until each is narrower than ORTHOGONALITY_WIDTH (exact
         when P and Q are rational); False the moment any enclosure excludes
         its target."""
         v = self.scheme.order
@@ -141,7 +145,7 @@ class CharacterTable:
                         acc = t if acc is None else acc.add(t)
                     if not acc.contains(v if mu == nu else 0):
                         return False
-                    if acc.width >= tolerance:
+                    if acc.width >= ORTHOGONALITY_WIDTH:
                         done = False
             return True if done else None
 
@@ -174,7 +178,7 @@ def _multiplicity(order, valencies, row):
     return refine_until(row, verdict, "multiplicity")
 
 
-def character_table(s: Scheme, precision=DEFAULT_PRECISION) -> CharacterTable:
+def character_table(s: Scheme) -> CharacterTable:
     """Compute P and Q for a scheme, with every step certified.
 
     Q comes from the multiplicities, Q[i][nu] = m_nu * P[nu][i] / k_i, each
@@ -185,7 +189,7 @@ def character_table(s: Scheme, precision=DEFAULT_PRECISION) -> CharacterTable:
     genuine scheme.
     """
     sb = structure_basis(s)
-    pts = variety_points(sb, precision)
+    pts = variety_points(sb)
     n = sb.quotient_dimension
     if len(pts) != n:
         raise InternalInvariantViolation(

@@ -96,12 +96,16 @@ def _check_classes(d, what):
 def load_scheme(path: str) -> Scheme:
     """Read and build a scheme from a JSON description file ('-' = stdin)."""
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as e:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("scheme description must be a JSON object")

@@ -185,9 +185,6 @@ class UniPoly:
             acc = acc * x + a
         return _num(acc)
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def evaluate_interval(self, iv):
         acc = Interval.point(0)
         for a in reversed(self._c):
@@ -276,10 +273,6 @@ class UniPoly:
             else:
                 parts.append(f"+ {body}" if a > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def squarefree_part(p):
-    return p.squarefree_part()
 
 
 # ---------------------------------------------------------------------------
@@ -554,76 +547,39 @@ def _positive_divisors(n):
     return small + large[::-1]
 
 
-def _rational_candidate(q, lo, hi, lc_divisors):
-    """Search (lo, hi) for a rational root of q with denominator dividing lc.
-
-    Returns (root or None, complete); complete says that no denominator was
-    skipped as too wide, so no sub-interval of (lo, hi) holds a candidate.
-    """
-    complete = True
-    for b in lc_divisors:
-        lo_b, hi_b = b * lo, b * hi
-        first = math.floor(lo_b) + 1
-        last = math.ceil(hi_b) - 1
-        if last - first > 2:  # too wide for this denominator; try later
-            complete = False
-            continue
-        a = first
-        while a <= last:
-            if lo_b < a < hi_b and _sign_at(q, Fraction(a, b)) == 0:
-                return Fraction(a, b), True
-            a += 1
-    return None, complete
-
-
-def _isolate(q, precision):
+def _isolate(q):
     """Either ('rational', value) for the first rational root found, or
     ('intervals', [(lo, hi), ...]) isolating every (irrational) real root of q.
 
-    q: squarefree primitive integer polynomial, q(0) != 0, degree >= 1.
+    q: squarefree primitive integer polynomial of degree >= 1.  Intervals are
+    split at their midpoints by Sturm count until each holds one root and is
+    narrower than 1/(|lc| + 1); a denominator b of lc then leaves at most one
+    candidate a/b inside it, so one sign test per denominator decides whether
+    the root is rational.
     """
     chain = _sturm_chain(q)
     bound = q.cauchy_root_bound()
-    total = _count_roots(chain, -bound, bound)
-    if total == 0:
-        return "intervals", []
     lc_divisors = _positive_divisors(q.leading_coeff())
     guarantee = Fraction(1, abs(q.leading_coeff()) + 1)
-    stack = [(-bound, bound, total)]
+    stack = [(-bound, bound, _count_roots(chain, -bound, bound))]
     found = []
     while stack:
         lo, hi, n = stack.pop()
-        if n == 1:
-            # q changes sign once in (lo, hi), so its sign at lo never changes
-            s_lo = _sign_at(q, lo)
-            searching = True
-            while True:
-                if searching:
-                    cand, complete = _rational_candidate(q, lo, hi, lc_divisors)
-                    if cand is not None:
-                        return "rational", cand
-                    searching = not complete
-                w = hi - lo
-                if w < precision and w < guarantee:
-                    break
-                mid = Fraction(lo + hi, 2)
-                s_mid = _sign_at(q, mid)
-                if s_mid == 0:
-                    return "rational", mid
-                if s_lo != s_mid:
-                    hi = mid
-                else:
-                    lo = mid
+        if n == 0:
+            continue
+        if n == 1 and hi - lo < guarantee:
+            for b in lc_divisors:
+                a = math.floor(b * lo) + 1
+                if a < b * hi and _sign_at(q, Fraction(a, b)) == 0:
+                    return "rational", Fraction(a, b)
             found.append((lo, hi))
-        else:
-            mid = Fraction(lo + hi, 2)
-            if _sign_at(q, mid) == 0:
-                return "rational", mid
-            nl = _count_roots(chain, lo, mid)
-            if nl:
-                stack.append((lo, mid, nl))
-            if n - nl:
-                stack.append((mid, hi, n - nl))
+            continue
+        mid = Fraction(lo + hi, 2)
+        if _sign_at(q, mid) == 0:
+            return "rational", mid
+        nl = _count_roots(chain, lo, mid)
+        stack.append((lo, mid, nl))
+        stack.append((mid, hi, n - nl))
     return "intervals", sorted(found)
 
 
@@ -633,33 +589,25 @@ DEFAULT_PRECISION = Fraction(1, 10**30)
 def real_roots(p, precision=DEFAULT_PRECISION):
     """All real roots of p, sorted ascending.
 
-    Rational roots are identified exactly (denominator-of-leading-coefficient
-    test on the primitive integer form); the rest come back as isolating
-    intervals narrower than `precision` around a squarefree witness
-    polynomial.  p should be squarefree; a squarefree reduction is applied
-    defensively since it is cheap.
+    p is reduced once to its primitive squarefree part.  Rational roots are
+    identified exactly (denominator-of-leading-coefficient test) and divided
+    out; the rest come back as isolating intervals, refined below
+    `precision`, around the squarefree witness polynomial that is left.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    q = p.primitive()
-    if q.degree >= 2 and not q.is_squarefree():
-        q = q.squarefree_part().primitive()
+    q = p.squarefree_part().primitive()
     roots = []
-    if q.degree >= 1 and q.coeff(0) == 0:
-        roots.append(RealRoot.rational(0))
-        k = next(i for i, a in enumerate(q._c) if a != 0)
-        q = UniPoly(q._c[k:])
     while q.degree >= 1:
-        kind, payload = _isolate(q, precision)
+        kind, payload = _isolate(q)
         if kind == "rational":
             roots.append(RealRoot.rational(payload))
             q = (q // UniPoly((-payload, 1))).primitive()
         else:
-            for lo, hi in payload:
-                roots.append(RealRoot.isolated(q, lo, hi))
+            roots.extend(RealRoot.isolated(q, lo, hi).refine(precision) for lo, hi in payload)
             break
     roots.sort(key=_root_sort_key)
     return roots

@@ -174,18 +174,17 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
 
 
 class _SolveContext:
-    """Caches per-solve data: spectra (roots of squarefree charpolys of the
+    """Caches per-solve data: spectra (real roots of the charpolys of the
     multiplication matrices) used to represent irrational coordinates."""
 
-    def __init__(self, sb, precision):
+    def __init__(self, sb):
         self.sb = sb
-        self.precision = Fraction(precision)
         self._spectra = {}
 
     def spectrum(self, var):
         if var not in self._spectra:
             cp = multiplication_matrix(self.sb, var).charpoly()
-            self._spectra[var] = tuple(real_roots(cp.squarefree_part(), self.precision))
+            self._spectra[var] = tuple(real_roots(cp))
         return self._spectra[var]
 
 
@@ -213,7 +212,7 @@ def _algebraic_value(ctx, expr: MPoly, assign, var):
     return refine_until(assign.values(), verdict, "back-substitution")
 
 
-def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECISION):
+def solve_triangular(rgb: ReducedGB, sb: StructureBasis):
     """All real variety points of a (zero-dimensional, radical) lex basis.
 
     Works stage by stage from the smallest variable up: real roots of the
@@ -223,7 +222,7 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
     are accepted; anything else raises NotTriangularEnough.  Every point is
     certified against the structure basis before being returned.
     """
-    ctx = _SolveContext(sb, precision)
+    ctx = _SolveContext(sb)
     order = rgb.target_order
     nv = order.nvars
     gens = rgb.basis.generators
@@ -241,7 +240,7 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
                 values = {j: v.value for j, v in assign.items()}
                 upolys = [g.partial_eval(values).univariate_in(y) for g in stage_gens]
                 h = reduce(lambda a, b: a.gcd(b), (u for u in upolys if not u.is_zero()))
-                for root in real_roots(h, ctx.precision):
+                for root in real_roots(h):
                     ext = dict(assign)
                     ext[y] = root
                     nxt.append(ext)
@@ -262,7 +261,7 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, precision=DEFAULT_PRECI
 def _certify_point(ctx, coords):
     """The variety point at `coords` (RealRoots, x0 first), certified: x0
     must be 1, and every structure relation's residual must have an interval
-    enclosure that contains 0 and is narrower than the precision.  The point
+    enclosure that contains 0 and is narrower than DEFAULT_PRECISION.  The point
     keeps the coordinates as refined as that took (rational ones are points,
     so on a rational point the check is exact and refines nothing)."""
     if not (coords[0].is_rational and coords[0].value == 1):
@@ -279,7 +278,7 @@ def _certify_point(ctx, coords):
                     f"candidate point residual on {g.render()} is certified nonzero"
                 )
             worst = max(worst, enc.width)
-        return tuple(values) if worst < ctx.precision else None
+        return tuple(values) if worst < DEFAULT_PRECISION else None
 
     return VarietyPoint(refine_until(coords, verdict, "residual certification"))
 

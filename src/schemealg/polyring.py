@@ -78,8 +78,8 @@ class MonomialOrder:
         self.priority = priority
 
     @classmethod
-    def degree(cls, nvars, priority=None):
-        return cls("degree", priority if priority is not None else range(nvars))
+    def degree(cls, nvars):
+        return cls("degree", range(nvars))
 
     @classmethod
     def lex(cls, priority):

@@ -115,7 +115,7 @@ def idempotent_equations(sb: StructureBasis):
     return tuple(eqs)
 
 
-def verify_radical(sb: StructureBasis, precision=None) -> bool:
+def verify_radical(sb: StructureBasis) -> bool:
     """True iff the ideal has d+1 distinct real points (schemes always should).
 
     Delegates to the solving pipeline; a squarefree eliminant with a full set
@@ -123,8 +123,7 @@ def verify_radical(sb: StructureBasis, precision=None) -> bool:
     """
     from . import analysis  # local import: analysis sits above this module
 
-    kwargs = {} if precision is None else {"precision": precision}
-    points = analysis.variety_points(sb, **kwargs)
+    points = analysis.variety_points(sb)
     if len(points) != sb.quotient_dimension:
         return False
     for a in range(len(points)):

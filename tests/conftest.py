@@ -1,4 +1,5 @@
-"""Shared test helpers: a tiny polynomial-literal parser and scheme fixtures."""
+"""Shared test helpers: a tiny polynomial-literal parser, the Gauss-period
+oracle for orbit schemes, and scheme fixtures."""
 
 from fractions import Fraction
 
@@ -43,6 +44,35 @@ def parse_basis(texts, nvars):
 @pytest.fixture
 def poly():
     return parse_poly
+
+
+def gauss_period_hits(s, ct):
+    """Match the characters of the orbit scheme `s` on Z_m against the
+    character table `ct`: character a has, in class i, the Gauss period
+    sum over x in class i of cos(2 pi a x / m), computed to 40 digits with
+    mpmath.  Asserts that the certified P intervals of exactly one row hold
+    each character's periods, and returns how many characters hit each row."""
+    mpmath = pytest.importorskip("mpmath")
+    m = s.order
+    classes = [[x for x in range(m) if s.partition.labels[x][0] == i] for i in range(s.d + 1)]
+    with mpmath.workdps(45):
+        tol = mpmath.mpf(10) ** -40
+
+        def mp(q):
+            q = Fraction(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def encloses(c, v):
+            iv = c.interval()
+            return mp(iv.lo) - tol <= v <= mp(iv.hi) + tol
+
+        hits = [0] * ct.size
+        for a in range(m):
+            periods = [mpmath.fsum(mpmath.cos(2 * mpmath.pi * a * x / m) for x in o) for o in classes]
+            rows = [nu for nu, row in enumerate(ct.P) if all(map(encloses, row, periods))]
+            assert len(rows) == 1, f"character {a} of Z_{m} matches rows {rows}"
+            hits[rows[0]] += 1
+    return hits
 
 
 # --- scheme fixtures --------------------------------------------------------

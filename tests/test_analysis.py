@@ -5,10 +5,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from conftest import parse_poly
+from conftest import gauss_period_hits, parse_poly
 
 from schemealg.errors import InternalInvariantViolation, NotExpressible
-from schemealg.exactmath import DEFAULT_PRECISION, RealRoot, UniPoly, real_roots
+from schemealg.exactmath import RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
     character_table,
     check_p_polynomial,
@@ -72,8 +72,7 @@ def test_prime_power_character_table_takes_the_generic_fallback(monkeypatch):
     # element; its valency row comes from a rational eliminant root.
     from schemealg import analysis
 
-    m = 25
-    s = orbit_scheme(m, 4)
+    s = orbit_scheme(25, 4)
     calls = []
 
     def recorded(*args):
@@ -83,27 +82,8 @@ def test_prime_power_character_table_takes_the_generic_fallback(monkeypatch):
     monkeypatch.setattr(analysis, "_points_from_generic", recorded)
     ct = character_table(s)
     assert len(calls) == 1
-    mpmath = pytest.importorskip("mpmath")
-    classes = [[x for x in range(m) if s.partition.labels[x][0] == i] for i in range(s.d + 1)]
-    with mpmath.workdps(45):
-        tol = mpmath.mpf(10) ** -40
-
-        def mp(q):
-            q = Fraction(q)
-            return mpmath.mpf(q.numerator) / q.denominator
-
-        def encloses(c, v):
-            iv = c.interval()
-            return mp(iv.lo) - tol <= v <= mp(iv.hi) + tol
-
-        matched = [0] * ct.size
-        for a in range(m):
-            periods = [mpmath.fsum(mpmath.cos(2 * mpmath.pi * a * x / m) for x in o) for o in classes]
-            rows = [nu for nu, row in enumerate(ct.P) if all(map(encloses, row, periods))]
-            assert len(rows) == 1
-            matched[rows[0]] += 1
     # character a lands on row nu for exactly m_nu = Q[0][nu] values of a
-    assert matched == [q.value for q in ct.Q[0]]
+    assert gauss_period_hits(s, ct) == [q.value for q in ct.Q[0]]
 
 
 def test_pentagon_character_table_irrational():
@@ -357,5 +337,5 @@ def test_generic_element_reproduces_pentagon_variety():
     sb = structure_basis(s)
     ge = find_generic_element(s)
     assert ge.changes == ()
-    pts = _points_from_generic(sb, ge, precision=DEFAULT_PRECISION)
+    pts = _points_from_generic(sb, ge)
     assert _same_point_sets(pts, variety_points(sb))

@@ -222,6 +222,22 @@ def test_exit_2_missing_file():
     assert r.returncode == 2
 
 
+def test_exit_2_file_not_utf8(tmp_path):
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b"\xff\xfe" + b'{"type": "orbit", "m": 9, "r": 2}')
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot read") and r.stderr.count("\n") == 1
+
+
+def test_exit_2_integer_over_the_digit_limit(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"type": "orbit", "m": ' + "9" * 5000 + ', "r": 2}')
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
 def test_exit_2_usage_error(ex1_file):
     r = run_cli("no-such-command", ex1_file)
     assert r.returncode == 2

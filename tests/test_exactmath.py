@@ -15,7 +15,6 @@ from schemealg.exactmath import (
     format_decimal,
     real_roots,
     refine_until,
-    squarefree_part,
 )
 
 
@@ -137,9 +136,9 @@ class TestUniPoly:
 
     def test_squarefree_part(self):
         p = upoly(1, -1)* upoly(1, -1) * upoly(1, 2)  # (x-1)^2 (x+2)
-        assert squarefree_part(p) == upoly(1, 1, -2)
+        assert p.squarefree_part() == upoly(1, 1, -2)
         already = upoly(1, -3, -18, 0)
-        assert squarefree_part(already) == already
+        assert already.squarefree_part() == already
 
     def test_zero_polynomial_guards(self):
         z = UniPoly()
@@ -219,6 +218,101 @@ class TestRealRoots:
         hi = Fraction(1227397415873442102514811127871, 950737950171172051122527404032)
         assert [(r.low, r.high) for r in roots] == [(-lo, -hi), (hi, lo)]
         assert all(r.poly == upoly(3, 0, -5) for r in roots)
+
+    # Literal outputs, pinned: each irrational interval is a dyadic cell of
+    # (-B, B), B the Cauchy bound of the witness left once every rational
+    # root is divided out, so the endpoints also pin that witness.
+    PINNED = {
+        "mixed (x^2 - 2)(x - 1)": (
+            upoly(1, 0, -2) * upoly(1, -1),
+            [
+                (upoly(1, 0, -2), -7170914684772625909597688093115, 5070602400912917605986812821504,
+                 -896364335596578238699711011639, 633825300114114700748351602688),
+                1,
+                (upoly(1, 0, -2), 896364335596578238699711011639, 633825300114114700748351602688,
+                 7170914684772625909597688093115, 5070602400912917605986812821504),
+            ],
+        ),
+        "root at 0, x(x + 3)(2x^2 - 7)": (
+            upoly(1, 3, 0) * upoly(2, 0, -7),
+            [
+                -3,
+                (upoly(2, 0, -7), -18972456928769500351156822452165, 10141204801825835211973625643008,
+                 -4743114232192375087789205613039, 2535301200456458802993406410752),
+                0,
+                (upoly(2, 0, -7), 4743114232192375087789205613039, 2535301200456458802993406410752,
+                 18972456928769500351156822452165, 10141204801825835211973625643008),
+            ],
+        ),
+        "leading coefficient 6, (2x - 1)(3x + 1)(x^2 - 3)": (
+            upoly(2, -1) * upoly(3, 1) * upoly(1, 0, -3),
+            [
+                (upoly(1, 0, -3), -274454405730059595204971223777, 158456325028528675187087900672,
+                 -2195635245840476761639769790215, 1267650600228229401496703205376),
+                Fraction(-1, 3),
+                Fraction(1, 2),
+                (upoly(1, 0, -3), 2195635245840476761639769790215, 1267650600228229401496703205376,
+                 274454405730059595204971223777, 158456325028528675187087900672),
+            ],
+        ),
+        "repeated factor (x^2 - 5)^2 (x + 1)": (
+            upoly(1, 0, -5) * upoly(1, 0, -5) * upoly(1, 1),
+            [
+                (upoly(1, 0, -5), -708638228457182841184406864643, 316912650057057350374175801344,
+                 -11338211655314925458950509834285, 5070602400912917605986812821504),
+                -1,
+                (upoly(1, 0, -5), 11338211655314925458950509834285, 5070602400912917605986812821504,
+                 708638228457182841184406864643, 316912650057057350374175801344),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_roots(self, name):
+        p, expected = self.PINNED[name]
+        got = []
+        for r in real_roots(p):
+            if r.is_rational:
+                got.append(r.value)
+            else:
+                got.append((r.poly, r.low.numerator, r.low.denominator, r.high.numerator, r.high.denominator))
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(500 + seed)
+        widths = (Fraction(1, 10**30), Fraction(1, 10**6), Fraction(1, 3), Fraction(5))
+        for case in range(25):
+            p = UniPoly((rng.choice([1, -2, 3, Fraction(1, 2)]),))
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.4:
+                    f = UniPoly((-rng.randint(-9, 9), rng.randint(1, 4)))  # a rational root
+                else:
+                    tail = [rng.randint(-7, 7) for _ in range(rng.randint(2, 3))]
+                    f = UniPoly(tail + [rng.randint(1, 3)])
+                p = p * f * (f if rng.random() < 0.2 else 1)
+            width = widths[case % 4]
+            truth = [t for t, _ in sympy.Poly(list(reversed(p.coeffs)), x).real_roots(multiple=False)]
+            roots = real_roots(p, width)
+            assert len(roots) == len(truth)
+            assert [r.value for r in roots if r.is_rational] == [
+                Fraction(int(t.p), int(t.q)) for t in truth if t.is_Rational
+            ]
+            # the witness holds every irrational root, so its isolating
+            # interval may also hold a rational root of p, never another
+            # irrational one
+            irrational = [t for t in truth if not t.is_Rational]
+            for r in roots:
+                if r.is_rational:
+                    continue
+                lo, hi = sympy.Rational(r.low), sympy.Rational(r.high)
+                assert sum(1 for t in irrational if lo < t < hi) == 1
+                assert r.width < width
+                w = sympy.Poly(list(reversed(r.poly.coeffs)), x)
+                assert w.LC() > 0 and w.is_primitive and w.is_sqf
+                assert all(g.degree() != 1 for g, _ in w.factor_list()[1])
 
 
 class TestSignKernel:
