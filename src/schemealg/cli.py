@@ -61,6 +61,10 @@ MAX_CLASSES = 64
 # Rendering an irrational entry bisects it to 10^-(digits+2), so the cost of
 # a chartab report grows with the digits asked for.
 MAX_DIGITS = 100
+# The generic element draws its coefficients up to --max-coeff, and the
+# integers of its eliminant grow with them: at 10^600 one is too long for
+# Python's int-to-str conversion limit.
+MAX_COEFF = 10**6
 
 _SCHEME_AXIOM_ERRORS = (
     NotAPartition,
@@ -307,6 +311,8 @@ def cmd_mingen(args):
 def cmd_generator(args):
     if args.max_coeff < 1:
         raise ParseError("--max-coeff must be at least 1")
+    if args.max_coeff > MAX_COEFF:
+        raise ParseError(f"--max-coeff must be at most {MAX_COEFF}")
     if args.max_attempts < 0:
         raise ParseError("--max-attempts must be at least 0")
     s = load_scheme(args.scheme)

@@ -534,33 +534,21 @@ def _count_roots(chain, lo, hi):
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _positive_divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _isolate(q):
     """Either ('rational', value) for the first rational root found, or
     ('intervals', [(lo, hi), ...]) isolating every (irrational) real root of q.
 
     q: squarefree primitive integer polynomial of degree >= 1.  Intervals are
     split at their midpoints by Sturm count until each holds one root and is
-    narrower than 1/(|lc| + 1); a denominator b of lc then leaves at most one
-    candidate a/b inside it, so one sign test per denominator decides whether
-    the root is rational.
+    narrower than 1/(L + 1), L = |lc|.  A rational root a/b has b | L, so L
+    times it is an integer in (L*lo, L*hi), an interval shorter than 1: one
+    sign test at the only candidate, (floor(L*lo) + 1)/L, decides whether the
+    root is rational.
     """
     chain = _sturm_chain(q)
     bound = q.cauchy_root_bound()
-    lc_divisors = _positive_divisors(q.leading_coeff())
-    guarantee = Fraction(1, abs(q.leading_coeff()) + 1)
+    lc = abs(q.leading_coeff())
+    guarantee = Fraction(1, lc + 1)
     stack = [(-bound, bound, _count_roots(chain, -bound, bound))]
     found = []
     while stack:
@@ -568,10 +556,9 @@ def _isolate(q):
         if n == 0:
             continue
         if n == 1 and hi - lo < guarantee:
-            for b in lc_divisors:
-                a = math.floor(b * lo) + 1
-                if a < b * hi and _sign_at(q, Fraction(a, b)) == 0:
-                    return "rational", Fraction(a, b)
+            a = math.floor(lc * lo) + 1
+            if a < lc * hi and _sign_at(q, Fraction(a, lc)) == 0:
+                return "rational", Fraction(a, lc)
             found.append((lo, hi))
             continue
         mid = Fraction(lo + hi, 2)
@@ -787,17 +774,25 @@ def refine_until(values, verdict, layer):
     Each round asks verdict(values) first; None means "undecided", and every
     value is then refined below the round's width (2^-8, a quarter of that
     the next round, and so on).  Any other answer is returned; the verdict may
-    also raise.  Rational values are points that refinement leaves alone, so
-    an interval verdict on them is exact and decides in the first round.
+    also raise.  The verdict must be a function of the values alone: it is
+    asked before the first round and then only after a round in which some
+    value changed (`refine` returns the value itself when it is already
+    narrower than the width, and a rational always), since asking it again
+    of the same values would give the same answer.  Rational values are
+    points, so an interval verdict on them is exact and decides at once.
     Raises InternalInvariantViolation naming `layer` once the rounds run out.
     """
     values = list(values)
     width = Fraction(1, 2**8)
+    changed = True
     for _ in range(REFINE_ROUNDS):
-        answer = verdict(values)
-        if answer is not None:
-            return answer
-        values = [v.refine(width) for v in values]
+        if changed:
+            answer = verdict(values)
+            if answer is not None:
+                return answer
+        refined = [v.refine(width) for v in values]
+        changed = any(r is not v for r, v in zip(refined, values))
+        values = refined
         width /= 4
     raise InternalInvariantViolation(
         f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"

@@ -7,6 +7,7 @@ deterministic normal forms, and the Buchberger criterion as a *checker*.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ZeroPolynomial
@@ -287,16 +288,34 @@ class MPoly:
         return _num(acc)
 
     def evaluate_interval(self, intervals):
+        """Enclosure of self over a box of Intervals (one per variable): the
+        sum over terms of c * prod(iv^e), with Interval's product and power.
+
+        Computed on integers.  With D the common denominator of the endpoints
+        and C that of the coefficients, C * D^top times a degree-k term is
+        the integer C*c * D^(top-k) times a product of integer intervals
+        (D*iv)^e.  Exact interval products are associative and commute with
+        scaling by a positive number, so one division at the end gives the
+        same rationals as evaluating every term on the Intervals given."""
         if len(intervals) != self.nvars:
             raise DimensionMismatch("wrong number of values")
+        den = math.lcm(*(x.denominator for iv in intervals for x in (iv.lo, iv.hi)))
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        scaled = [
+            Interval(iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
+            for iv in intervals
+        ]
+        top = max((m.degree for m in self.terms), default=0)
+        den_powers = [den**j for j in range(top + 1)]
         acc = Interval.point(0)
         for m, c in self.terms.items():
-            t = Interval.point(c)
-            for iv, e in zip(intervals, m):
+            t = Interval.point(c.numerator * (cden // c.denominator) * den_powers[top - m.degree])
+            for iv, e in zip(scaled, m):
                 if e:
                     t = t.mul(iv.power(e))
             acc = acc.add(t)
-        return acc
+        scale = cden * den_powers[top]
+        return Interval(Fraction(acc.lo, scale), Fraction(acc.hi, scale))
 
     def partial_eval(self, assignment):
         """Substitute exact rational values for some variables (dict var -> value);

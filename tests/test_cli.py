@@ -365,13 +365,21 @@ def test_exit_2_tensor_over_the_class_limit(tmp_path):
         cli.load_scheme(str(path))
 
 
-# sha256 of `chartab --format json` stdout.  The JSON report prints the
-# isolating interval of every irrational entry, so these pin the endpoints
-# that root isolation and certification produce, not only the values.
+# sha256 of `chartab --format json` stdout on the ten rungs of the benchmark's
+# chartab-irrational ladder.  The JSON report prints the isolating interval of
+# every irrational entry, so these pin the endpoints that root isolation and
+# certification produce, not only the values.
 CHARTAB_JSON_SHA256 = {
     (10, 9): "258d8a5e3cb49bde0d1304b0cff4ab836ce4aad0b9bacdfabd1022cd9fd9feec",
     (13, 5): "6040971b204400c9e6d9644985a55a53cd18442194365fd4098afd678adc5a99",
+    (16, 15): "b12a3797e4ace73b7b5ca986944e2d3304be1f253323b4c2730ec37d8f3337cf",
+    (24, 23): "b525af08b55d7f9ece1204b1131dac17c2b4fc73a9718c36a9a03308e13606fe",
     (25, 4): "1ebb3dae1ef0a115aaa7b132275d093040e01f363a33a6cbc64e9c1c06dd3cf5",
+    (27, 8): "b901c9025acc3ae991c8cb77c9dcafe6805be22cdf620d2b944a49b0afccbbb1",
+    (31, 5): "02ee670f42c283fc56f869cfd16c56690b00c3a86fa2b3e533ef378c1128ace3",
+    (32, 7): "03b725bd149d9c36bbd9a0b98b71757f5b8e5d4a42799f3c12437c2cf579a098",
+    (37, 10): "326ebf98ed642f493243752c1d44854845497c71c3c39edf815f198ae7f9694b",
+    (61, 3): "e518aadff69230440f171feb09b859a5f4e6eecff86fbbe977f42f63558e999d",
 }
 
 
@@ -446,6 +454,14 @@ def test_exit_2_max_coeff_below_one(monkeypatch, capsys):
     assert "--max-coeff must be at least 1" in capsys.readouterr().err
 
 
+def test_exit_2_max_coeff_over_the_limit(monkeypatch, capsys):
+    cli = _forbid_analysis(monkeypatch)
+    assert cli.MAX_COEFF == 10**6
+    assert cli.main(["generator", "-", "--max-coeff", str(10**6 + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --max-coeff must be at most 1000000\n"
+
+
 def test_exit_2_negative_max_attempts(monkeypatch, capsys):
     cli = _forbid_analysis(monkeypatch)
     assert cli.main(["generator", "-", "--max-attempts", "-1"]) == 2
@@ -458,6 +474,7 @@ def test_exit_2_negative_max_attempts(monkeypatch, capsys):
         ["chartab", "--digits", "0"],
         ["chartab", "--digits", "100"],
         ["generator", "--max-coeff", "1", "--max-attempts", "0"],
+        ["generator", "--max-coeff", "1000000"],
     ],
 )
 def test_arguments_at_their_bounds_are_accepted(argv, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from schemealg.errors import InternalInvariantViolation, SingularMatrix, ZeroPolynomial
 from schemealg.exactmath import (
+    DEFAULT_PRECISION,
     REFINE_ROUNDS,
     Interval,
     QMatrix,
@@ -278,6 +279,21 @@ class TestRealRoots:
                 got.append((r.poly, r.low.numerator, r.low.denominator, r.high.numerator, r.high.denominator))
         assert got == expected
 
+    def test_leading_coefficient_near_10_to_the_30(self):
+        # one sign test decides whether a root is rational, so a leading
+        # coefficient this large costs no divisor search
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        p = UniPoly((7, 10**30)) * UniPoly((-5, 0, 3))  # (10^30 x + 7)(3x^2 - 5)
+        roots = real_roots(p)
+        truth = sympy.Poly(list(reversed(p.coeffs)), x).real_roots()
+        assert [r.is_rational for r in roots] == [t.is_Rational for t in truth] == [False, True, False]
+        assert roots[1].value == Fraction(-7, 10**30)
+        for r, t in zip(roots[::2], truth[::2]):
+            assert r.poly == upoly(3, 0, -5)
+            assert sympy.Rational(r.low) < t < sympy.Rational(r.high)
+            assert r.width < DEFAULT_PRECISION
+
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_sympy(self, seed):
         sympy = pytest.importorskip("sympy")
@@ -406,7 +422,9 @@ class TestRealRoot:
 
 class TestRefineUntil:
     def test_undecided_verdict_exhausts_the_rounds_naming_the_layer(self):
-        sqrt2 = real_roots(upoly(1, 0, -2))[1]
+        # a wide interval, so that every round refines it and the verdict is
+        # asked on every round
+        sqrt2 = RealRoot.isolated(upoly(1, 0, -2), 1, 2)
         rounds = []
 
         def never(values):
@@ -418,6 +436,21 @@ class TestRefineUntil:
         # checked before the first refinement, then below 2^-8, 2^-10, ...
         assert rounds[0] == sqrt2.width
         assert all(w < Fraction(1, 2 ** (8 + 2 * r)) for r, w in enumerate(rounds[1:]))
+
+    def test_verdict_is_not_asked_again_of_unchanged_values(self):
+        # real_roots delivers sqrt(2) narrower than 10^-30, so the rounds at
+        # widths 2^-8, 2^-10, ... above that leave it unchanged
+        sqrt2 = real_roots(upoly(1, 0, -2))[1]
+        seen = []
+
+        def never(values):
+            seen.append(values[0])
+
+        with pytest.raises(InternalInvariantViolation, match="^some layer: no certificate after 512"):
+            refine_until([sqrt2], never, "some layer")
+        assert seen[0] is sqrt2
+        assert all(a is not b for a, b in zip(seen, seen[1:]))
+        assert len(seen) < REFINE_ROUNDS
 
     def test_returns_the_first_decided_answer(self):
         sqrt2 = real_roots(upoly(1, 0, -2))[1]

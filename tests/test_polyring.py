@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from schemealg.errors import DimensionMismatch, ZeroPolynomial
+from schemealg.exactmath import Interval
 from schemealg.polyring import (
     Monomial,
     MonomialOrder,
@@ -110,6 +111,44 @@ class TestMPoly:
         assert p.evaluate([1, 2, 0]) == 0
         assert p.evaluate([0, -1, 5]) == 0
         assert p.evaluate([0, 3, 0]) == 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evaluate_interval_matches_the_fraction_loop(self, seed):
+        # the term-by-term Interval loop that evaluate_interval's integer
+        # arithmetic replaces, kept as the reference
+        def reference(p, ivs):
+            acc = Interval.point(0)
+            for m, c in p.terms.items():
+                t = Interval.point(c)
+                for iv, e in zip(ivs, m):
+                    if e:
+                        t = t.mul(iv.power(e))
+                acc = acc.add(t)
+            return acc
+
+        rng = random.Random(700 + seed)
+
+        def rational():
+            den = rng.choice([1, 3, 2**40, 10**12, 7 * 2**40])
+            return Fraction(rng.randint(-10**6, 10**6), den)
+
+        for _ in range(250):
+            nv = rng.randint(1, 4)
+            p = MPoly(
+                nv,
+                {Monomial(rng.randint(0, 4) for _ in range(nv)): rational() for _ in range(rng.randint(0, 6))},
+            )
+            ivs = []
+            for _ in range(nv):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    ivs.append(Interval.point(rational()))
+                elif kind == 1:  # straddles zero
+                    ivs.append(Interval(-abs(rational()), abs(rational())))
+                else:
+                    ivs.append(Interval(*sorted((rational(), rational()))))
+            got, want = p.evaluate_interval(ivs), reference(p, ivs)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
 
     def test_partial_eval(self):
         p = parse_poly("x1*x2 - 2*x1", 3)
