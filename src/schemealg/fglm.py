@@ -8,12 +8,14 @@ variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
 extracted from a lex basis: real roots of the eliminant, back-substitution
 through the remaining generators, and residual certification by interval
-enclosures (exact on rational points).
+enclosures of the structure relations, read off the intersection tensor
+(exact on rational points).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -266,21 +268,42 @@ def _certify_point(ctx, coords):
     so on a rational point the check is exact and refines nothing)."""
     if not (coords[0].is_rational and coords[0].value == 1):
         raise InternalInvariantViolation("variety point has x0 != 1")
-    basis = ctx.sb.basis
+    p = ctx.sb.scheme.tensor.p
 
     def verdict(values):
-        ivs = [c.interval() for c in values]
-        worst = 0
-        for g in basis:
-            enc = g.evaluate_interval(ivs)
+        den, enclosures = _relation_enclosures(p, [c.interval() for c in values])
+        for (i, j), enc in enclosures.items():
             if not enc.contains(0):
                 raise InternalInvariantViolation(
-                    f"candidate point residual on {g.render()} is certified nonzero"
+                    f"candidate point residual on x{i}*x{j} is certified nonzero"
                 )
-            worst = max(worst, enc.width)
-        return tuple(values) if worst < DEFAULT_PRECISION else None
+        bound = den * den * DEFAULT_PRECISION
+        return tuple(values) if all(enc.width < bound for enc in enclosures.values()) else None
 
     return VarietyPoint(refine_until(coords, verdict, "residual certification"))
+
+
+def _relation_enclosures(p, box):
+    """(D, {(i, j): E}) for the structure relations x_i*x_j - sum_k p_ij^k x_k,
+    1 <= i <= j <= d, of the tensor p over a box of Intervals (x0 first, the
+    point 1).  D is the common denominator of the endpoints, and E is D^2 times
+    the relation's enclosure, evaluated on the integer box D*box: the product
+    (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each k (D x_0 = D
+    carries the constant term)."""
+    den = math.lcm(*(x.denominator for iv in box for x in (iv.lo, iv.hi)))
+    scaled = [
+        Interval(iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
+        for iv in box
+    ]
+    out = {}
+    for i in range(1, len(p)):
+        for j in range(i, len(p)):
+            enc = scaled[i].power(2) if i == j else scaled[i].mul(scaled[j])
+            for k, c in enumerate(p[i][j]):
+                if c:
+                    enc = enc.add(scaled[k].scale(-c * den))
+            out[i, j] = enc
+    return den, out
 
 
 def moller_stetter_check(sb: StructureBasis, points) -> bool:

@@ -7,7 +7,6 @@ deterministic normal forms, and the Buchberger criterion as a *checker*.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ZeroPolynomial
@@ -260,12 +259,6 @@ class MPoly:
             return MPoly.zero(self.nvars)
         return MPoly(self.nvars, {m.mul(monomial): c * coeff for m, c in self.terms.items()})
 
-    def power(self, n):
-        out = MPoly.constant(1, self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def monic(self, order):
         _, lc = self.leading_term(order)
         if lc == 1:
@@ -273,7 +266,7 @@ class MPoly:
         inv = Fraction(1, 1) / lc
         return self * inv
 
-    # -- evaluation and substitution ------------------------------------------
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, values):
         if len(values) != self.nvars:
@@ -289,33 +282,17 @@ class MPoly:
 
     def evaluate_interval(self, intervals):
         """Enclosure of self over a box of Intervals (one per variable): the
-        sum over terms of c * prod(iv^e), with Interval's product and power.
-
-        Computed on integers.  With D the common denominator of the endpoints
-        and C that of the coefficients, C * D^top times a degree-k term is
-        the integer C*c * D^(top-k) times a product of integer intervals
-        (D*iv)^e.  Exact interval products are associative and commute with
-        scaling by a positive number, so one division at the end gives the
-        same rationals as evaluating every term on the Intervals given."""
+        sum over terms of c * prod(iv^e), with Interval's product and power."""
         if len(intervals) != self.nvars:
             raise DimensionMismatch("wrong number of values")
-        den = math.lcm(*(x.denominator for iv in intervals for x in (iv.lo, iv.hi)))
-        cden = math.lcm(*(c.denominator for c in self.terms.values()))
-        scaled = [
-            Interval(iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
-            for iv in intervals
-        ]
-        top = max((m.degree for m in self.terms), default=0)
-        den_powers = [den**j for j in range(top + 1)]
         acc = Interval.point(0)
         for m, c in self.terms.items():
-            t = Interval.point(c.numerator * (cden // c.denominator) * den_powers[top - m.degree])
-            for iv, e in zip(scaled, m):
+            t = Interval.point(c)
+            for iv, e in zip(intervals, m):
                 if e:
                     t = t.mul(iv.power(e))
             acc = acc.add(t)
-        scale = cden * den_powers[top]
-        return Interval(Fraction(acc.lo, scale), Fraction(acc.hi, scale))
+        return acc
 
     def partial_eval(self, assignment):
         """Substitute exact rational values for some variables (dict var -> value);
@@ -330,20 +307,6 @@ class MPoly:
                     coeff *= Fraction(val) ** e
                     exps[var] = 0
             out = out + MPoly(self.nvars, {Monomial(exps): coeff})
-        return out
-
-    def substitute(self, var, replacement):
-        """Substitute a polynomial for one variable."""
-        self._check(replacement)
-        out = MPoly.zero(self.nvars)
-        for m, c in self.terms.items():
-            exps = list(m)
-            e = exps[var]
-            exps[var] = 0
-            term = MPoly(self.nvars, {Monomial(exps): c})
-            if e:
-                term = term * replacement.power(e)
-            out = out + term
         return out
 
     def univariate_in(self, var):

@@ -366,19 +366,25 @@ def test_exit_2_tensor_over_the_class_limit(tmp_path):
 
 
 # sha256 of `chartab --format json` stdout on the ten rungs of the benchmark's
-# chartab-irrational ladder.  The JSON report prints the isolating interval of
-# every irrational entry, so these pin the endpoints that root isolation and
-# certification produce, not only the values.
+# chartab-irrational ladder, and on four lex paths no rung takes: (20, 9) and
+# (52, 3) mix rational and irrational coordinates, and (8, 3) and (12, 5) are
+# all-rational without a shape basis.  The JSON report prints the isolating
+# interval of every irrational entry, so these pin the endpoints that root
+# isolation and certification produce, not only the values.
 CHARTAB_JSON_SHA256 = {
+    (8, 3): "656c72d4dcfdc87883ac9e7ad213345fc777e3a5369f48c3953e615a6b5a7e04",
     (10, 9): "258d8a5e3cb49bde0d1304b0cff4ab836ce4aad0b9bacdfabd1022cd9fd9feec",
+    (12, 5): "29c8b628425afe583976467a78162d25bc32ae33abf74cf127adf2109a205d2c",
     (13, 5): "6040971b204400c9e6d9644985a55a53cd18442194365fd4098afd678adc5a99",
     (16, 15): "b12a3797e4ace73b7b5ca986944e2d3304be1f253323b4c2730ec37d8f3337cf",
+    (20, 9): "6e6be06a2e0dad140472d87058ce8b5b0fd3164869c76d461f5b703e8c292d7a",
     (24, 23): "b525af08b55d7f9ece1204b1131dac17c2b4fc73a9718c36a9a03308e13606fe",
     (25, 4): "1ebb3dae1ef0a115aaa7b132275d093040e01f363a33a6cbc64e9c1c06dd3cf5",
     (27, 8): "b901c9025acc3ae991c8cb77c9dcafe6805be22cdf620d2b944a49b0afccbbb1",
     (31, 5): "02ee670f42c283fc56f869cfd16c56690b00c3a86fa2b3e533ef378c1128ace3",
     (32, 7): "03b725bd149d9c36bbd9a0b98b71757f5b8e5d4a42799f3c12437c2cf579a098",
     (37, 10): "326ebf98ed642f493243752c1d44854845497c71c3c39edf815f198ae7f9694b",
+    (52, 3): "6cf55c7a92ac106754e42d255c949c6e2bd095b1f630052b20c1b8eb56cccf5a",
     (61, 3): "e518aadff69230440f171feb09b859a5f4e6eecff86fbbe977f42f63558e999d",
 }
 

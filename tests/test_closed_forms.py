@@ -1,14 +1,16 @@
 """Character tables against closed forms that do not come from the program:
 Krawtchouk polynomials for Hamming schemes and Eberlein polynomials for
 Johnson schemes (Delsarte 1973; Bannai-Ito, Algebraic Combinatorics I,
-section 3.2).  Both families are metric in the distance class."""
+section 3.2).  Both families are metric in the distance class.  The minimal
+generating sets of an elementary abelian 2-group's regular scheme are the
+bases of its F_2-vector space."""
 
 import itertools
 from math import comb
 
 import pytest
 
-from schemealg.analysis import character_table, check_p_polynomial
+from schemealg.analysis import character_table, check_p_polynomial, minimal_generating_sets
 from schemealg.scheme import scheme_from_relations
 
 
@@ -82,3 +84,14 @@ def test_distance_class_makes_the_scheme_p_polynomial(case):
     assert rep.is_p_polynomial
     assert rep.generator_variable == d
     assert all(rep.distance_relabeling[perm[i]] == i for i in range(d + 1))
+
+
+def test_minimal_generating_sets_of_z2_cubed_are_its_bases():
+    # the regular scheme of (Z_2)^3: (x, y) is in class x XOR y, so
+    # x_a x_b = x_(a XOR b) and a set of classes generates the algebra
+    # exactly when its labels span F_2^3; no two labels do, and three
+    # distinct nonzero labels a < b < c are independent unless c = a XOR b
+    s = scheme_from_relations([[x ^ y for y in range(8)] for x in range(8)])
+    bases = tuple(c for c in itertools.combinations(range(1, 8), 3) if c[0] ^ c[1] != c[2])
+    assert len(bases) == 28
+    assert minimal_generating_sets(s) == bases

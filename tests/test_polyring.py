@@ -5,6 +5,7 @@ import pytest
 
 from schemealg.errors import DimensionMismatch, ZeroPolynomial
 from schemealg.exactmath import Interval
+from schemealg.fglm import _relation_enclosures
 from schemealg.polyring import (
     Monomial,
     MonomialOrder,
@@ -13,6 +14,8 @@ from schemealg.polyring import (
     is_groebner,
     normal_form,
 )
+from schemealg.scheme import orbit_scheme
+from schemealg.structure_ideal import structure_basis
 
 from conftest import parse_basis, parse_poly
 
@@ -114,32 +117,23 @@ class TestMPoly:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluate_interval_matches_the_fraction_loop(self, seed):
-        # the term-by-term Interval loop that evaluate_interval's integer
-        # arithmetic replaces, kept as the reference
-        def reference(p, ivs):
-            acc = Interval.point(0)
-            for m, c in p.terms.items():
-                t = Interval.point(c)
-                for iv, e in zip(ivs, m):
-                    if e:
-                        t = t.mul(iv.power(e))
-                acc = acc.add(t)
-            return acc
-
+        # evaluate_interval is the term-by-term Fraction loop; residual
+        # certification encloses the same relations on the integer box D*box,
+        # read off the tensor, and divided by D^2 must give the same rationals
+        # (a square by power(2), the linear terms scaled by D)
+        m, r = [(5, 4), (13, 5), (16, 15), (25, 4)][seed]
+        sb = structure_basis(orbit_scheme(m, r))
+        order = sb.basis.order
+        generator = {g.leading_monomial(order): g for g in sb.basis}
         rng = random.Random(700 + seed)
 
         def rational():
             den = rng.choice([1, 3, 2**40, 10**12, 7 * 2**40])
             return Fraction(rng.randint(-10**6, 10**6), den)
 
-        for _ in range(250):
-            nv = rng.randint(1, 4)
-            p = MPoly(
-                nv,
-                {Monomial(rng.randint(0, 4) for _ in range(nv)): rational() for _ in range(rng.randint(0, 6))},
-            )
-            ivs = []
-            for _ in range(nv):
+        for _ in range(60):
+            ivs = [Interval.point(1)]
+            for _ in range(sb.nvars - 1):
                 kind = rng.randrange(3)
                 if kind == 0:
                     ivs.append(Interval.point(rational()))
@@ -147,19 +141,17 @@ class TestMPoly:
                     ivs.append(Interval(-abs(rational()), abs(rational())))
                 else:
                     ivs.append(Interval(*sorted((rational(), rational()))))
-            got, want = p.evaluate_interval(ivs), reference(p, ivs)
-            assert (got.lo, got.hi) == (want.lo, want.hi)
+            den, enclosures = _relation_enclosures(sb.scheme.tensor.p, ivs)
+            assert len(enclosures) == len(sb.basis) - 1
+            for (i, j), enc in enclosures.items():
+                g = generator[Monomial.variable(i, sb.nvars).mul(Monomial.variable(j, sb.nvars))]
+                want = g.evaluate_interval(ivs)
+                assert (Fraction(enc.lo, den**2), Fraction(enc.hi, den**2)) == (want.lo, want.hi)
 
     def test_partial_eval(self):
         p = parse_poly("x1*x2 - 2*x1", 3)
         q = p.partial_eval({1: 4})
         assert q == parse_poly("4*x2 - 8", 3)
-
-    def test_substitute(self):
-        # x3 -> y - x1 applied to x3^2 - 1 (y written as x3 afterwards)
-        p = parse_poly("x3^2 - 1", 4)
-        repl = parse_poly("x3 - x1", 4)
-        assert p.substitute(3, repl) == parse_poly("x3^2 - 2*x1*x3 + x1^2 - 1", 4)
 
     def test_univariate_in(self):
         p = parse_poly("x2^3 - 4*x2", 3)
