@@ -3,10 +3,17 @@
 Everything here rides on the same pipeline: convert the structure basis to a
 pure-lex basis, solve it exactly, and read scheme-theoretic facts off the
 variety — the character table from the points themselves, the P-polynomial
-property from the shape of the lex basis, generating sets from which
-variables admit solved forms, and "generic" elements (single matrices whose
-eigenvalues separate the whole spectrum) from random coordinate changes that
-never re-run any Groebner computation.
+property from the shape of the lex basis, expressions of classes in a
+chosen subset from the solved forms of a block-lex basis, and "generic"
+elements (single matrices whose eigenvalues separate the whole spectrum)
+from random coordinate changes that never re-run any Groebner computation.
+
+Minimal generating sets are the one exception: whether a class set generates
+depends only on the dimension of the subalgebra its intersection matrices
+span, so `minimal_generating_sets` decides each candidate by an integer
+closure of e_0 under those matrices and runs no conversion.  Its cost grows
+with the number of candidates, sum_k C(d, k) up to the smallest size that
+generates.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .errors import AttemptsExhausted, InternalInvariantViolation, NotExpressible, NotTriangularEnough
 from .exactmath import RealRoot, UniPoly, real_roots, refine_until
@@ -312,22 +319,82 @@ def express_in_terms_of(sb: StructureBasis, subset):
 
 
 def minimal_generating_sets(s: Scheme):
-    """All smallest subsets of classes that polynomially generate the rest."""
+    """All smallest subsets of classes that polynomially generate the rest.
+
+    Candidates are tried by size, each size in `itertools.combinations`
+    order, and the first size with a hit is returned.  `_generates` decides
+    each candidate by an integer closure, with no Groebner conversion.  The
+    full class set always generates: B_i e_0 = e_i, since p_i0^k = delta_ik.
+    """
     d = s.d
     if d == 0:
         return ((),)
-    sb = structure_basis(s)
-    for size in range(1, d + 1):
-        found = []
-        for cand in itertools.combinations(range(1, d + 1), size):
-            try:
-                express_in_terms_of(sb, cand)
-            except NotExpressible:
-                continue
-            found.append(cand)
+    columns = _sparse_columns(structure_basis(s))
+    for size in range(1, d):
+        found = tuple(
+            cand for cand in itertools.combinations(range(1, d + 1), size) if _generates(columns, cand)
+        )
         if found:
-            return tuple(found)
-    raise InternalInvariantViolation("the full class set failed to generate itself")
+            return found
+    return (tuple(range(1, d + 1)),)
+
+
+def _sparse_columns(sb: StructureBasis):
+    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i."""
+    return [
+        [[(k, a) for k, a in enumerate(col) if a] for col in zip(*multiplication_matrix(sb, i).rows)]
+        for i in range(sb.nvars)
+    ]
+
+
+def _generates(columns, subset):
+    """True iff the unital subalgebra Q[B_i : i in subset] has dimension d+1.
+
+    `columns` is `_sparse_columns` of the structure basis.  Starting from
+    e_0, each round applies every B_i of the subset to the vectors the
+    previous round added, reduces the products against an integer echelon
+    keyed by pivot (fraction-free, each vector divided by the gcd of its
+    entries) and keeps every nonzero remainder.  The span is then the
+    subalgebra applied to e_0, which is the subalgebra itself since e_0 is
+    the identity; it is the whole algebra exactly when every class is a
+    polynomial in the subset classes modulo the structure ideal (Bannai-Ito,
+    Algebraic Combinatorics I, 2.2), i.e. when `express_in_terms_of`
+    succeeds.  True as soon as the echelon holds d+1 vectors, False when a
+    round adds none.
+    """
+    n = len(columns[0])
+    e0 = (1,) + (0,) * (n - 1)
+    echelon = {0: e0}
+    new = [e0]
+    while new:
+        added = []
+        for u in new:
+            for i in subset:
+                w = [0] * n
+                for x, col in zip(u, columns[i]):
+                    if x:
+                        for k, a in col:
+                            w[k] += a * x
+                for p in range(n):
+                    c = w[p]
+                    if not c:
+                        continue
+                    v = echelon.get(p)
+                    if v is None:
+                        g = gcd(*w)
+                        w = tuple(x // g for x in w)
+                        echelon[p] = w
+                        added.append(w)
+                        if len(echelon) == n:
+                            return True
+                        break
+                    a = v[p]
+                    w = [a * x - c * y for x, y in zip(w, v)]
+                    g = gcd(*w)
+                    if g > 1:
+                        w = [x // g for x in w]
+        new = added
+    return False
 
 
 # ---------------------------------------------------------------------------

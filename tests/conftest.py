@@ -1,6 +1,8 @@
 """Shared test helpers: a tiny polynomial-literal parser, the Gauss-period
-oracle for orbit schemes, and scheme fixtures."""
+oracle for orbit schemes, Hamming and Johnson scheme builders, and scheme
+fixtures."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,24 @@ def hamming_labels(n=3):
     return tuple(
         tuple(sum(a != b for a, b in zip(p, q)) for q in points) for p in points
     )
+
+
+def hamming(n, q):
+    """H(n, q): words of length n over q letters, classed by Hamming distance."""
+    from schemealg.scheme import scheme_from_relations
+
+    words = list(itertools.product(range(q), repeat=n))
+    return scheme_from_relations(
+        [[sum(a != b for a, b in zip(x, y)) for y in words] for x in words]
+    )
+
+
+def johnson(n, k):
+    """J(n, k): k-subsets of an n-set, A ~ B in class k - |A & B|."""
+    from schemealg.scheme import scheme_from_relations
+
+    sets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+    return scheme_from_relations([[k - len(a & b) for b in sets] for a in sets])
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,12 @@
 and generic elements."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import gauss_period_hits, parse_poly
+from conftest import gauss_period_hits, hamming, johnson, parse_poly
 
 from schemealg.errors import InternalInvariantViolation, NotExpressible
 from schemealg.exactmath import RealRoot, UniPoly, real_roots
@@ -16,9 +18,17 @@ from schemealg.analysis import (
     find_generic_element,
     minimal_generating_sets,
     variety_points,
+    _generates,
     _points_from_generic,
+    _sparse_columns,
 )
-from schemealg.scheme import IntersectionTensor, Scheme, orbit_scheme, scheme_from_relations
+from schemealg.scheme import (
+    IntersectionTensor,
+    Scheme,
+    intersection_matrix,
+    orbit_scheme,
+    scheme_from_relations,
+)
 from schemealg.structure_ideal import structure_basis
 
 
@@ -261,6 +271,52 @@ def test_minimal_generating_sets(ex1_scheme, ex2_scheme, hamming_scheme):
     assert minimal_generating_sets(ex1_scheme) == ((1,),)
     assert minimal_generating_sets(ex2_scheme) == ((1, 2), (1, 3))
     assert minimal_generating_sets(hamming_scheme) == ((1,),)
+
+
+def _distinct_orbit_tensors(max_m, max_d):
+    tensors = {}
+    for m in range(3, max_m + 1):
+        for r in range(2, m):
+            if gcd(m, r) == 1:
+                s = orbit_scheme(m, r)
+                if s.d <= max_d:
+                    tensors.setdefault(s.tensor.p, s)
+    return list(tensors.values())
+
+
+def test_closure_verdict_agrees_with_express_on_every_subset():
+    # `minimal_generating_sets` trusts the integer closure where the paper
+    # reads expressibility off a block-lex FGLM conversion: the two must
+    # agree on every class subset
+    schemes = _distinct_orbit_tensors(30, 6)
+    assert len(schemes) == 47
+    schemes += [hamming(4, 3), johnson(8, 3)]
+    subsets = 0
+    for s in schemes:
+        sb = structure_basis(s)
+        columns = _sparse_columns(sb)
+        for size in range(1, s.d + 1):
+            for cand in itertools.combinations(range(1, s.d + 1), size):
+                subsets += 1
+                try:
+                    express_in_terms_of(sb, cand)
+                    expressible = True
+                except NotExpressible:
+                    expressible = False
+                assert _generates(columns, cand) == expressible, (s.tensor.p, cand)
+    assert subsets == 789
+
+
+def test_every_class_matrix_sends_the_identity_to_its_class():
+    # p_i0^k = delta_ik, so B_i e_0 = e_i and the full class set spans the
+    # algebra in one round of the closure: `minimal_generating_sets` returns
+    # it without a check when no smaller set generates
+    schemes = _distinct_orbit_tensors(40, 20)
+    assert len(schemes) == 122
+    for s in schemes:
+        n = s.d + 1
+        for i in range(n):
+            assert intersection_matrix(s, i).column(0) == tuple(int(k == i) for k in range(n))
 
 
 # ---------------------------------------------------------------------------

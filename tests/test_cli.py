@@ -414,6 +414,22 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of `mingen` stdout in both formats, captured when every candidate
+# still ran a block-lex FGLM conversion: (8, 3) needs two classes, (32, 7)
+# three, and the cycles (20, 19) and (40, 39) are generated by each class
+# coprime to m.
+MINGEN_SHA256 = {
+    ("mingen", 8, 3, "json"): "6c13410dec42b52342862812b79421bb6f36ab040cc0930a42b0b526e6e38346",
+    ("mingen", 8, 3, "text"): "2eb55aba9cfa67e7a255c43354b81373a3e8bf89902b872dde9953bf33db4b3b",
+    ("mingen", 20, 19, "json"): "a1fd0d0a49e6fb626453cdb9feceb58894ce883e6a87bbdb536a4df3e79cfb75",
+    ("mingen", 20, 19, "text"): "6b821d91ff63cd416f77dbd70c0b262f4ad8bb5b9d544c8c401fb32a496b305f",
+    ("mingen", 32, 7, "json"): "dab19f7bafab9eab2a76ac0fdd0c9f7ceadff8a61ce999ec848d8cde0e0a285e",
+    ("mingen", 32, 7, "text"): "78c93dad06ef26e8304f42ae7859fb3232fe5e638d48693e1e350c8c4fb8b659",
+    ("mingen", 40, 39, "json"): "c61c80d4503226f583a211a440d22b9c6ce781348540a93c3b3ec12b8b7d08d0",
+    ("mingen", 40, 39, "text"): "618b8ecedda898009d645cd0d80ddd74095d0b44e45889cd1999fd35b3bbf092",
+}
+
+
 def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys):
     from schemealg import cli
 
@@ -433,6 +449,12 @@ def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
 def test_ppoly_and_generator_reports_are_pinned(cmd, m, r, fmt, tmp_path, capsys):
     digest = _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys)
     assert digest == REPORT_SHA256[(cmd, m, r, fmt)]
+
+
+@pytest.mark.parametrize("cmd, m, r, fmt", sorted(MINGEN_SHA256))
+def test_mingen_reports_are_pinned(cmd, m, r, fmt, tmp_path, capsys):
+    digest = _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys)
+    assert digest == MINGEN_SHA256[(cmd, m, r, fmt)]
 
 
 def _forbid_analysis(monkeypatch):

@@ -9,23 +9,10 @@ import itertools
 from math import comb
 
 import pytest
+from conftest import hamming, johnson
 
 from schemealg.analysis import character_table, check_p_polynomial, minimal_generating_sets
 from schemealg.scheme import scheme_from_relations
-
-
-def hamming(n, q):
-    """H(n, q): words of length n over q letters, classed by Hamming distance."""
-    words = list(itertools.product(range(q), repeat=n))
-    return scheme_from_relations(
-        [[sum(a != b for a, b in zip(x, y)) for y in words] for x in words]
-    )
-
-
-def johnson(n, k):
-    """J(n, k): k-subsets of an n-set, A ~ B in class k - |A & B|."""
-    sets = [frozenset(c) for c in itertools.combinations(range(n), k)]
-    return scheme_from_relations([[k - len(a & b) for b in sets] for a in sets])
 
 
 def krawtchouk_rows(n, q):
@@ -94,4 +81,20 @@ def test_minimal_generating_sets_of_z2_cubed_are_its_bases():
     s = scheme_from_relations([[x ^ y for y in range(8)] for x in range(8)])
     bases = tuple(c for c in itertools.combinations(range(1, 8), 3) if c[0] ^ c[1] != c[2])
     assert len(bases) == 28
+    assert minimal_generating_sets(s) == bases
+
+
+def test_minimal_generating_sets_of_z2_to_the_fourth_are_its_bases():
+    # the same for (Z_2)^4: 15 classes, and four labels generate exactly
+    # when the XOR closure of their subsets is all 16 vectors of F_2^4
+    s = scheme_from_relations([[x ^ y for y in range(16)] for x in range(16)])
+
+    def span(labels):
+        out = {0}
+        for a in labels:
+            out |= {a ^ x for x in out}
+        return out
+
+    bases = tuple(c for c in itertools.combinations(range(1, 16), 4) if len(span(c)) == 16)
+    assert len(bases) == 840  # 15 * 14 * 12 * 8 / 4!
     assert minimal_generating_sets(s) == bases
