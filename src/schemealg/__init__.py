@@ -20,6 +20,7 @@ from .errors import (
     NotTriangularEnough,
     ParseError,
     SchemeAlgError,
+    SearchTooLarge,
     SingularMatrix,
     ZeroPolynomial,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "RelationPartition",
     "Scheme",
     "SchemeAlgError",
+    "SearchTooLarge",
     "SingularMatrix",
     "StructureBasis",
     "UniPoly",

@@ -12,8 +12,10 @@ Minimal generating sets are the one exception: whether a class set generates
 depends only on the dimension of the subalgebra its intersection matrices
 span, so `minimal_generating_sets` decides each candidate by an integer
 closure of e_0 under those matrices and runs no conversion.  Its cost grows
-with the number of candidates, sum_k C(d, k) up to the smallest size that
-generates.
+with the number of candidates, sum_k C(d, k) over the sizes tried up to the
+smallest one that generates; sizes too small for the product of the class
+dimensions to reach d+1 are skipped, and a size with more than
+MAX_MINGEN_CANDIDATES candidates raises SearchTooLarge.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, gcd
+from math import ceil, comb, floor, gcd, prod
 
-from .errors import AttemptsExhausted, InternalInvariantViolation, NotExpressible, NotTriangularEnough
+from .errors import (
+    AttemptsExhausted,
+    InternalInvariantViolation,
+    NotExpressible,
+    NotTriangularEnough,
+    SearchTooLarge,
+)
 from .exactmath import RealRoot, UniPoly, real_roots, refine_until
 from .fglm import (
     ReducedGB,
@@ -64,26 +72,27 @@ def variety_points(sb: StructureBasis):
     Tries each variable in turn as the smallest one of a pure-lex order; if
     no conversion is triangular enough to solve (possible when irrational
     eigenvalues collide), falls back to a generic element, whose eigenvalue
-    separates the points by construction.
+    separates the points by construction.  Every attempt and the fallback
+    share one _SolveContext, so each class's spectrum is computed once.
     """
     nv = sb.nvars
     d = nv - 1
     if d == 0:
         return (VarietyPoint((RealRoot.rational(1),)),)
+    ctx = _SolveContext(sb)
     for i in range(1, nv):
         rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
         try:
-            return solve_triangular(rgb, sb)
+            return solve_triangular(rgb, sb, _ctx=ctx)
         except NotTriangularEnough:
             continue
     ge = _generic_element(sb, rng_seed=0, max_coeff=10, max_attempts=32)
-    return _points_from_generic(sb, ge)
+    return _points_from_generic(ctx, ge)
 
 
-def _points_from_generic(sb, ge):
-    nv = sb.nvars
+def _points_from_generic(ctx, ge):
+    nv = ctx.sb.nvars
     d = nv - 1
-    ctx = _SolveContext(sb)
     exprs = [MPoly.from_unipoly(e, d, nv) for e in ge.expressions]
     points = []
     for root in real_roots(ge.eliminant):
@@ -97,7 +106,8 @@ def _points_from_generic(sb, ge):
 # ---------------------------------------------------------------------------
 
 
-# width below which check_orthogonality accepts an entry of P @ Q
+# width below which check_orthogonality accepts an entry of P @ Q, and
+# _trace_sums_vanish a trace sum
 ORTHOGONALITY_WIDTH = Fraction(1, 10**20)
 
 
@@ -225,10 +235,40 @@ def character_table(s: Scheme) -> CharacterTable:
         tuple(P[nu][i].scale(Fraction(mults[nu], val[i])) for nu in range(n))
         for i in range(n)
     )
-    table = CharacterTable(scheme=s, points=ordered, P=P, Q=Q)
-    if not table.check_orthogonality():
+    if not _trace_sums_vanish(s.order, mults, P):
         raise InternalInvariantViolation("P and Q fail the orthogonality certificate")
-    return table
+    return CharacterTable(scheme=s, points=ordered, P=P, Q=Q)
+
+
+def _trace_sums_vanish(order, mults, P):
+    """Certify T_k = sum_nu m_nu P[nu][k] = |X| delta_k0 for k = 0..d by
+    interval enclosures, refined until each is narrower than
+    ORTHOGONALITY_WIDTH; False the moment one excludes its target.
+
+    Inside `character_table` this is P @ Q = |X| I.  There
+    Q[i][nu] = m_nu P[nu][i] / k_i, and every row is a variety point, so
+    P[nu][i] P[nu][j] = sum_k p_ij^k P[nu][k].  Hence
+    (Q @ P)[i][j] = sum_k p_ij^k T_k / k_i, which is |X| delta_ij for every
+    i, j exactly when T_k = |X| delta_k0, as p_ij^0 = k_i delta_ij
+    (Bannai-Ito, Algebraic Combinatorics I, 2.3).  d+1 sums of d+1 products
+    replace the (d+1)^3 products of `CharacterTable.check_orthogonality`.
+    """
+    n = len(P)
+
+    def verdict(values):
+        done = True
+        for k in range(n):
+            acc = None
+            for nu in range(n):
+                t = values[nu * n + k].interval().scale(mults[nu])
+                acc = t if acc is None else acc.add(t)
+            if not acc.contains(order if k == 0 else 0):
+                return False
+            if acc.width >= ORTHOGONALITY_WIDTH:
+                done = False
+        return True if done else None
+
+    return refine_until([c for row in P for c in row], verdict, "orthogonality")
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +358,12 @@ def express_in_terms_of(sb: StructureBasis, subset):
     return {j: forms[j] for j in sorted(forms)}
 
 
+# The most candidates of one size that minimal_generating_sets will try.  At
+# d = 64 one candidate's closure takes up to about 5 ms (2 vCPUs, Python
+# 3.11), so no size that passes this check runs for more than about a minute.
+MAX_MINGEN_CANDIDATES = 10_000
+
+
 def minimal_generating_sets(s: Scheme):
     """All smallest subsets of classes that polynomially generate the rest.
 
@@ -325,12 +371,28 @@ def minimal_generating_sets(s: Scheme):
     order, and the first size with a hit is returned.  `_generates` decides
     each candidate by an integer closure, with no Groebner conversion.  The
     full class set always generates: B_i e_0 = e_i, since p_i0^k = delta_ik.
+
+    A size k is skipped when the k largest dim Q[B_i] multiply to less than
+    d+1: the subalgebra of a set S is spanned by the products of powers
+    B_i^e, e < dim Q[B_i], so S can generate only if the product of its
+    dimensions is at least d+1.  dim Q[B_i] (the number of distinct
+    eigenvalues of B_i) is the closure size of {i}.  Before a size is tried,
+    SearchTooLarge is raised if it has more than MAX_MINGEN_CANDIDATES
+    candidates.
     """
     d = s.d
     if d == 0:
         return ((),)
     columns = _sparse_columns(structure_basis(s))
+    dims = sorted((_closure_size(columns, (i,)) for i in range(1, d + 1)), reverse=True)
     for size in range(1, d):
+        if prod(dims[:size]) < d + 1:
+            continue
+        if comb(d, size) > MAX_MINGEN_CANDIDATES:
+            raise SearchTooLarge(
+                f"mingen would try C({d}, {size}) = {comb(d, size)} class sets of size {size}; "
+                f"the limit is {MAX_MINGEN_CANDIDATES}"
+            )
         found = tuple(
             cand for cand in itertools.combinations(range(1, d + 1), size) if _generates(columns, cand)
         )
@@ -348,7 +410,15 @@ def _sparse_columns(sb: StructureBasis):
 
 
 def _generates(columns, subset):
-    """True iff the unital subalgebra Q[B_i : i in subset] has dimension d+1.
+    """True iff the unital subalgebra Q[B_i : i in subset] has dimension d+1
+    (see `_closure_size`); that is, iff every class is a polynomial in the
+    subset classes modulo the structure ideal (Bannai-Ito, Algebraic
+    Combinatorics I, 2.2), i.e. iff `express_in_terms_of` succeeds."""
+    return _closure_size(columns, subset) == len(columns[0])
+
+
+def _closure_size(columns, subset):
+    """The dimension of the unital subalgebra Q[B_i : i in subset].
 
     `columns` is `_sparse_columns` of the structure basis.  Starting from
     e_0, each round applies every B_i of the subset to the vectors the
@@ -356,11 +426,8 @@ def _generates(columns, subset):
     keyed by pivot (fraction-free, each vector divided by the gcd of its
     entries) and keeps every nonzero remainder.  The span is then the
     subalgebra applied to e_0, which is the subalgebra itself since e_0 is
-    the identity; it is the whole algebra exactly when every class is a
-    polynomial in the subset classes modulo the structure ideal (Bannai-Ito,
-    Algebraic Combinatorics I, 2.2), i.e. when `express_in_terms_of`
-    succeeds.  True as soon as the echelon holds d+1 vectors, False when a
-    round adds none.
+    the identity.  Returns d+1 as soon as the echelon holds d+1 vectors, and
+    the echelon's size when a round adds none.
     """
     n = len(columns[0])
     e0 = (1,) + (0,) * (n - 1)
@@ -386,7 +453,7 @@ def _generates(columns, subset):
                         echelon[p] = w
                         added.append(w)
                         if len(echelon) == n:
-                            return True
+                            return n
                         break
                     a = v[p]
                     w = [a * x - c * y for x, y in zip(w, v)]
@@ -394,7 +461,7 @@ def _generates(columns, subset):
                     if g > 1:
                         w = [x // g for x in w]
         new = added
-    return False
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------

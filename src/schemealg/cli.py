@@ -11,7 +11,9 @@ report to stdout.  Exit codes: 0 success, 2 unusable input (bad JSON,
 bad arguments or an argument out of its bounds, an orbit modulus m above
 MAX_ORBIT_M, a relations matrix with more than MAX_RELATIONS_V rows, a
 scheme with more than MAX_CLASSES classes), 3 the input is not an
-association scheme, 4 analysis failed on a valid scheme.  A tensor that
+association scheme, 4 analysis failed on a valid scheme (mingen exits 4
+too when a size it must try has more than analysis.MAX_MINGEN_CANDIDATES
+class sets).  A tensor that
 passes the linear axioms but is not associative exits 3 from validate,
 which runs the associativity certificate as its check, and 4 from chartab,
 ppoly, express, mingen, generator and gb, where the same certificate fails

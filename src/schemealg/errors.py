@@ -53,6 +53,10 @@ class AttemptsExhausted(SchemeAlgError):
     """The randomized search for a generic coordinate change gave up."""
 
 
+class SearchTooLarge(SchemeAlgError):
+    """An exhaustive search would try more candidates than its limit allows."""
+
+
 class InternalInvariantViolation(SchemeAlgError):
     """A property the mathematics guarantees failed to hold; inputs are corrupt or there is a bug."""
 

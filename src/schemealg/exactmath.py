@@ -210,15 +210,14 @@ class UniPoly:
         return UniPoly(tuple(a // g for a in ints))
 
     def gcd(self, other):
-        """Monic greatest common divisor (Euclid with primitive reduction)."""
+        """Monic greatest common divisor (Euclid on primitive integer
+        polynomials, each remainder an integer pseudo-remainder)."""
         a, b = self, self._coerce(other)
         if not a._c:
             return b.monic() if b._c else b
         a, b = a.primitive(), b.primitive()
         while b._c:
-            a, b = b, (a % b)
-            if b._c:
-                b = b.primitive()
+            a, b = b, UniPoly(_pseudo_remainder(a._c, b._c)).primitive()
         return a.monic()
 
     def squarefree_part(self):
@@ -490,48 +489,81 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
+def _pseudo_remainder(a, b):
+    """|lc(b)|^(deg a - deg b + 1) * a mod b, for integer coefficient tuples
+    (ascending, b nonzero): a positive multiple of the remainder, so it has
+    the remainder's signs, found with integer steps only.  a itself when
+    deg a < deg b."""
+    lc = b[-1]
+    m, sgn = abs(lc), _sign(lc)
+    db = len(b) - 1
+    rem = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem.pop() * sgn  # the x^(k + db) term, cancelled by m*top - c*lc = 0
+        rem = [m * x for x in rem]
+        if c:
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
 def _sturm_chain(p):
-    """Sturm sequence of a squarefree primitive integer polynomial, with each
-    remainder renormalized to a primitive integer polynomial (positive scaling
-    only, so sign variations are preserved)."""
+    """Sturm sequence of a squarefree primitive integer polynomial: each next
+    member is minus the pseudo-remainder of the last two, renormalized to a
+    primitive integer polynomial (positive scaling only, so sign variations
+    are preserved)."""
     chain = [p, p.derivative()]
     while chain[-1]._c:
-        r = -(chain[-2] % chain[-1])
+        r = UniPoly(_pseudo_remainder(chain[-2]._c, chain[-1]._c))
         if not r._c:
             break
-        # divide by the positive content, keeping the sign of the remainder
+        # divide by the positive content, keeping the sign of -remainder
         prim = r.primitive()
-        if r.leading_coeff() < 0:
-            prim = -prim
-        chain.append(prim)
+        chain.append(-prim if r.leading_coeff() > 0 else prim)
     return chain
 
 
-def _sign_at(q, x):
-    """Sign of q(x), for an integer polynomial q and a rational x = a/b
-    (b > 0): the sign of b^n q(a/b), computed by integer Horner steps.
-    Rational coefficients give the exact sign too, through Fraction steps."""
-    a, b = x.numerator, x.denominator
+def _sign_num(coeffs, a, b):
+    """Sign of q(a/b), for the ascending coefficients of an integer
+    polynomial q and integers a, b with b > 0: the sign of b^n q(a/b),
+    computed by integer Horner steps.  Rational coefficients give the exact
+    sign too, through Fraction steps."""
     acc = 0
     bk = 1  # b^(n - k) at coefficient k
-    for c in reversed(q._c):
+    for c in reversed(coeffs):
         acc = acc * a + c * bk
         bk *= b
     return _sign(acc)
 
 
-def _variations(chain, x):
+def _sign_at(q, x):
+    """Sign of q(x) for a rational x (see _sign_num)."""
+    return _sign_num(q._c, x.numerator, x.denominator)
+
+
+def _horner_sign(coeffs, x):
+    """Sign of sum_k coeffs[k] x^k, for integer coefficients and an integer x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return _sign(acc)
+
+
+def _variations(chain, a, b):
+    """Sign variations of the chain at a/b (integers, b > 0), zeros skipped."""
     signs = []
     for q in chain:
-        s = _sign_at(q, x)
+        s = _sign_num(q._c, a, b)
         if s:
             signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def _count_roots(chain, lo, hi):
     """Distinct real roots in (lo, hi); endpoints must not be roots of chain[0]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 
 def _isolate(q):
@@ -544,29 +576,35 @@ def _isolate(q):
     times it is an integer in (L*lo, L*hi), an interval shorter than 1: one
     sign test at the only candidate, (floor(L*lo) + 1)/L, decides whether the
     root is rational.
+
+    An interval is kept as integers (a, b, den, va, vb): the endpoints a/den
+    and b/den over one common denominator, doubled at each split, and the
+    chain's sign variations at them, so a split evaluates the chain at its
+    midpoint only.  Fractions are built only for the intervals returned.
     """
     chain = _sturm_chain(q)
     bound = q.cauchy_root_bound()
     lc = abs(q.leading_coeff())
-    guarantee = Fraction(1, lc + 1)
-    stack = [(-bound, bound, _count_roots(chain, -bound, bound))]
+    top, den = bound.numerator, bound.denominator
+    stack = [(-top, top, den, _variations(chain, -top, den), _variations(chain, top, den))]
     found = []
     while stack:
-        lo, hi, n = stack.pop()
+        a, b, den, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
-        if n == 1 and hi - lo < guarantee:
-            a = math.floor(lc * lo) + 1
-            if a < lc * hi and _sign_at(q, Fraction(a, lc)) == 0:
-                return "rational", Fraction(a, lc)
-            found.append((lo, hi))
+        if n == 1 and (b - a) * (lc + 1) < den:
+            c = lc * a // den + 1
+            if c * den < lc * b and _sign_num(q._c, c, lc) == 0:
+                return "rational", Fraction(c, lc)
+            found.append((Fraction(a, den), Fraction(b, den)))
             continue
-        mid = Fraction(lo + hi, 2)
-        if _sign_at(q, mid) == 0:
-            return "rational", mid
-        nl = _count_roots(chain, lo, mid)
-        stack.append((lo, mid, nl))
-        stack.append((mid, hi, n - nl))
+        mid, den = a + b, 2 * den
+        if _sign_num(q._c, mid, den) == 0:
+            return "rational", Fraction(mid, den)
+        vm = _variations(chain, mid, den)
+        stack.append((2 * a, mid, den, va, vm))
+        stack.append((mid, 2 * b, den, vm, vb))
     return "intervals", sorted(found)
 
 
@@ -663,13 +701,34 @@ class RealRoot:
         return RealRoot.isolated(self.poly, mid, self.high)
 
     def refine(self, max_width):
+        """The root bisected at dyadic midpoints until its interval is
+        narrower than max_width (self when it already is, or is rational).
+
+        The endpoints are kept as integer numerators a, b over a common
+        denominator den, doubled at each split, which leaves b - a fixed.
+        The witness is scaled to C_k = c_k den^(n-k), so the sign of its
+        value at x/den is the sign of the integer sum C_k x^k; doubling den
+        shifts each C_k left by n - k bits."""
         if self.is_rational or self.high - self.low < max_width:
             return self
-        r = self
-        s_low = self._sign_low()
-        while r.high - r.low >= max_width:
-            r = r._bisected(s_low)
-        return r
+        wn, wd = max_width.numerator, max_width.denominator
+        lo, hi = self.low, self.high
+        den = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        n = self.poly.degree
+        scaled = [c * den ** (n - k) for k, c in enumerate(self.poly._c)]
+        s_low = _horner_sign(scaled, a)
+        gap = b - a
+        while gap * wd >= wn * den:
+            den *= 2
+            scaled = [c << (n - k) for k, c in enumerate(scaled)]
+            mid = a + b
+            # mid cannot be the root: the root is irrational
+            if s_low != _horner_sign(scaled, mid):
+                a, b = 2 * a, mid
+            else:
+                a, b = mid, 2 * b
+        return RealRoot.isolated(self.poly, Fraction(a, den), Fraction(b, den))
 
     def is_root_of(self, p):
         """Whether p vanishes here: exact evaluation on a rational, else

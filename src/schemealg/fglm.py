@@ -176,8 +176,9 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
 
 
 class _SolveContext:
-    """Caches per-solve data: spectra (real roots of the charpolys of the
-    multiplication matrices) used to represent irrational coordinates."""
+    """Caches the spectra (real roots of the charpolys of the multiplication
+    matrices) used to represent irrational coordinates, for one solve or for
+    every attempt of one `variety_points` call."""
 
     def __init__(self, sb):
         self.sb = sb
@@ -214,7 +215,7 @@ def _algebraic_value(ctx, expr: MPoly, assign, var):
     return refine_until(assign.values(), verdict, "back-substitution")
 
 
-def solve_triangular(rgb: ReducedGB, sb: StructureBasis):
+def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
     """All real variety points of a (zero-dimensional, radical) lex basis.
 
     Works stage by stage from the smallest variable up: real roots of the
@@ -222,9 +223,11 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis):
     univariate (branching when several roots survive).  Once an irrational
     coordinate is on the stack only solved-form generators x_j - g(smaller)
     are accepted; anything else raises NotTriangularEnough.  Every point is
-    certified against the structure basis before being returned.
+    certified against the structure basis before being returned.  `_ctx`, a
+    _SolveContext of sb, lets the attempts of one `variety_points` call share
+    their spectra.
     """
-    ctx = _SolveContext(sb)
+    ctx = _SolveContext(sb) if _ctx is None else _ctx
     order = rgb.target_order
     nv = order.nvars
     gens = rgb.basis.generators

@@ -9,18 +9,21 @@ from math import gcd
 import pytest
 from conftest import gauss_period_hits, hamming, johnson, parse_poly
 
-from schemealg.errors import InternalInvariantViolation, NotExpressible
+from schemealg.errors import InternalInvariantViolation, NotExpressible, SearchTooLarge
 from schemealg.exactmath import RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
+    CharacterTable,
     character_table,
     check_p_polynomial,
     express_in_terms_of,
     find_generic_element,
     minimal_generating_sets,
     variety_points,
+    _closure_size,
     _generates,
     _points_from_generic,
     _sparse_columns,
+    _trace_sums_vanish,
 )
 from schemealg.scheme import (
     IntersectionTensor,
@@ -29,6 +32,7 @@ from schemealg.scheme import (
     orbit_scheme,
     scheme_from_relations,
 )
+from schemealg.fglm import _SolveContext
 from schemealg.structure_ideal import structure_basis
 
 
@@ -128,6 +132,66 @@ def test_orthogonality_rejects_a_perturbed_irrational_entry():
     assert not ct.P[1][1].is_rational
     bad = _perturbed(ct, 1, 1, ct.P[1][1].scale(Fraction(10**12 + 1, 10**12)))
     assert bad.check_orthogonality() is False
+
+
+# the chartab-irrational benchmark rungs: cycles, cyclotomic and prime-power
+# orbit schemes (the last three take the generic-element fallback)
+BENCHMARK_RUNGS = ((10, 9), (16, 15), (24, 23), (13, 5), (31, 5), (37, 10), (61, 3), (25, 4), (27, 8), (32, 7))
+
+
+def _with_multiplicities(ct, mults):
+    """The table with Q rebuilt from `mults`, as character_table builds it."""
+    val = ct.scheme.valencies
+    n = ct.size
+    Q = tuple(tuple(ct.P[nu][i].scale(Fraction(mults[nu], val[i])) for nu in range(n)) for i in range(n))
+    return dataclasses.replace(ct, Q=Q)
+
+
+def test_trace_sums_agree_with_the_full_orthogonality_check_on_the_rungs():
+    for m, r in BENCHMARK_RUNGS:
+        ct = character_table(orbit_scheme(m, r))
+        order = ct.scheme.order
+        mults = [q.value for q in ct.Q[0]]
+        assert _trace_sums_vanish(order, mults, ct.P) is True
+        assert ct.check_orthogonality() is True
+        # one multiplicity up, another down: the sum still is |X|
+        shifted = [mults[0] + 1, mults[1] - 1, *mults[2:]]
+        assert _trace_sums_vanish(order, shifted, ct.P) is False
+        assert _with_multiplicities(ct, shifted).check_orthogonality() is False
+
+
+@pytest.mark.parametrize("m, r", [(13, 5), (10, 9), (25, 4)])
+def test_trace_sums_reject_shifted_multiplicities(m, r):
+    ct = character_table(orbit_scheme(m, r))
+    mults = [q.value for q in ct.Q[0]]
+    n = ct.size
+    for a, b in itertools.permutations(range(n), 2):
+        shifted = list(mults)
+        shifted[a] += 1
+        shifted[b] -= 1
+        assert _trace_sums_vanish(ct.scheme.order, shifted, ct.P) is False, (a, b)
+
+
+@pytest.mark.parametrize("m, r", [(13, 5), (10, 9), (25, 4)])
+def test_trace_sums_reject_two_swapped_rows(m, r):
+    # rows of different multiplicities: the valency row (m_0 = 1) and the
+    # first row whose multiplicity is not 1
+    ct = character_table(orbit_scheme(m, r))
+    mults = [q.value for q in ct.Q[0]]
+    nu = next(i for i, x in enumerate(mults) if x != 1)
+    P = list(ct.P)
+    P[0], P[nu] = P[nu], P[0]
+    assert _trace_sums_vanish(ct.scheme.order, mults, tuple(P)) is False
+
+
+def test_character_table_certifies_orthogonality_by_trace_sums(monkeypatch):
+    # the full P @ Q check stays public but is not what character_table runs
+    def must_not_run(self):
+        raise AssertionError("check_orthogonality ran")
+
+    monkeypatch.setattr(CharacterTable, "check_orthogonality", must_not_run)
+    ct = character_table(orbit_scheme(13, 5))
+    assert [q.value for q in ct.Q[0]] == [1, 4, 4, 4]
 
 
 # Linear axioms hold and the tensor associates, but class 2 would be a perfect
@@ -273,6 +337,52 @@ def test_minimal_generating_sets(ex1_scheme, ex2_scheme, hamming_scheme):
     assert minimal_generating_sets(hamming_scheme) == ((1,),)
 
 
+def _xor_scheme(n):
+    """The regular scheme of (Z_2)^n: (x, y) is in class x XOR y."""
+    return scheme_from_relations([[x ^ y for y in range(2**n)] for x in range(2**n)])
+
+
+def test_mingen_skips_sizes_below_the_eigenvalue_bound(monkeypatch):
+    # every class of (Z_2)^4 has the two eigenvalues +-1, so no set of
+    # fewer than 4 classes can span the 16-dimensional algebra: only the
+    # C(15, 4) = 1365 sets of size 4 are tried
+    from schemealg import analysis
+
+    tried = []
+
+    def counted(columns, subset):
+        tried.append(subset)
+        return _generates(columns, subset)
+
+    monkeypatch.setattr(analysis, "_generates", counted)
+    assert len(minimal_generating_sets(_xor_scheme(4))) == 840
+    assert len(tried) == 1365 and {len(c) for c in tried} == {4}
+
+
+def test_mingen_over_the_candidate_limit_raises_before_trying_any(monkeypatch):
+    # (Z_2)^5: sizes 1..4 are skipped by the bound, and size 5 has
+    # C(31, 5) = 169911 candidates
+    from schemealg import analysis
+
+    def must_not_run(columns, subset):
+        raise AssertionError("a candidate was tried")
+
+    monkeypatch.setattr(analysis, "_generates", must_not_run)
+    assert analysis.MAX_MINGEN_CANDIDATES == 10_000
+    with pytest.raises(SearchTooLarge, match=r"C\(31, 5\) = 169911 class sets of size 5; the limit is 10000"):
+        minimal_generating_sets(_xor_scheme(5))
+
+
+def test_closure_size_of_one_class_counts_its_distinct_eigenvalues():
+    schemes = _distinct_orbit_tensors(20, 10) + [hamming(4, 3), johnson(8, 3), _xor_scheme(3)]
+    for s in schemes:
+        sb = structure_basis(s)
+        columns = _sparse_columns(sb)
+        for i in range(1, s.d + 1):
+            eigenvalues = real_roots(intersection_matrix(s, i).charpoly())
+            assert _closure_size(columns, (i,)) == len(eigenvalues), (s.tensor.p, i)
+
+
 def _distinct_orbit_tensors(max_m, max_d):
     tensors = {}
     for m in range(3, max_m + 1):
@@ -393,5 +503,5 @@ def test_generic_element_reproduces_pentagon_variety():
     sb = structure_basis(s)
     ge = find_generic_element(s)
     assert ge.changes == ()
-    pts = _points_from_generic(sb, ge)
+    pts = _points_from_generic(_SolveContext(sb), ge)
     assert _same_point_sets(pts, variety_points(sb))

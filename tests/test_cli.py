@@ -531,6 +531,27 @@ def test_exit_4_non_integral_multiplicities():
     assert "multiplicity" in r.stderr
 
 
+def test_exit_4_mingen_over_the_candidate_limit(tmp_path, monkeypatch, capsys):
+    # the regular scheme of (Z_2)^6 fits inside MAX_RELATIONS_V and
+    # MAX_CLASSES; no set of fewer than 6 of its 63 classes can generate,
+    # and C(63, 6) = 67945521 candidates are over the limit, so it exits
+    # before any candidate is tried
+    from schemealg import analysis, cli
+
+    def must_not_run(columns, subset):
+        raise AssertionError("a candidate was tried")
+
+    monkeypatch.setattr(analysis, "_generates", must_not_run)
+    path = tmp_path / "z2_6.json"
+    path.write_text(json.dumps({"type": "relations", "labels": [[x ^ y for y in range(64)] for x in range(64)]}))
+    assert cli.main(["mingen", str(path)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "analysis failed: mingen would try C(63, 6) = 67945521 class sets of size 6; the limit is 10000\n"
+    )
+
+
 def test_exit_3_asymmetric_labels():
     r = run_cli("validate", "-", stdin='{"type": "relations", "labels": [[0,1],[2,0]]}')
     assert r.returncode == 3

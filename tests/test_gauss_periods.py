@@ -37,7 +37,7 @@ def test_the_corpus_holds_every_distinct_scheme():
 
 
 @settings(
-    max_examples=24,
+    max_examples=36,
     derandomize=True,
     database=None,
     deadline=None,
