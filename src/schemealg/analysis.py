@@ -402,11 +402,9 @@ def minimal_generating_sets(s: Scheme):
 
 
 def _sparse_columns(sb: StructureBasis):
-    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i."""
-    return [
-        [[(k, a) for k, a in enumerate(col) if a] for col in zip(*multiplication_matrix(sb, i).rows)]
-        for i in range(sb.nvars)
-    ]
+    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i,
+    which is the tensor's vector p[i][m]."""
+    return [[[(k, a) for k, a in enumerate(col) if a] for col in pi] for pi in sb.scheme.tensor.p]
 
 
 def _generates(columns, subset):

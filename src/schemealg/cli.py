@@ -349,7 +349,8 @@ def cmd_gb(args):
     if args.order == "degree":
         if args.smallest is not None:
             raise ParseError("--smallest only applies to --order lex")
-        basis, normal_set, order = sb.basis, sb.normal_set, sb.basis.order
+        basis, normal_set = sb.basis, sb.normal_set
+        order = basis.order
     else:
         if args.smallest is None:
             raise ParseError("--order lex requires --smallest")
@@ -431,10 +432,14 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

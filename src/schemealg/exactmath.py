@@ -687,19 +687,6 @@ class RealRoot:
     def width(self):
         return 0 if self.is_rational else self.high - self.low
 
-    def _sign_low(self):
-        # The witness changes sign once in (low, high), at the root, so its
-        # sign at low is the same for every bisected interval.
-        return _sign_at(self.poly, self.low)
-
-    def _bisected(self, s_low):
-        """The half of the interval holding the root; s_low is _sign_low()."""
-        mid = Fraction(self.low + self.high, 2)
-        # mid cannot be the root: the root is irrational
-        if s_low != _sign_at(self.poly, mid):
-            return RealRoot.isolated(self.poly, self.low, mid)
-        return RealRoot.isolated(self.poly, mid, self.high)
-
     def refine(self, max_width):
         """The root bisected at dyadic midpoints until its interval is
         narrower than max_width (self when it already is, or is rational).
@@ -768,7 +755,7 @@ class RealRoot:
                 return -1
             if q <= a.low:
                 return 1
-            return 1 if _sign_at(a.poly, q) == a._sign_low() else -1
+            return 1 if _sign_at(a.poly, q) == _sign_at(a.poly, a.low) else -1
         # both isolated: decide equality via common roots of gcd in the overlap;
         # the gcd's Sturm chain is built once, when the intervals first overlap
         ra, rb = a, b
@@ -781,11 +768,11 @@ class RealRoot:
             if chain is None:
                 g = a.poly.gcd(b.poly)
                 chain = _sturm_chain(g.primitive()) if g.degree >= 1 else []
-                sa, sb = a._sign_low(), b._sign_low()
             # the intervals overlap, so max(lows) < min(highs)
             if chain and _count_roots(chain, max(ra.low, rb.low), min(ra.high, rb.high)) == 1:
                 return 0
-            ra, rb = ra._bisected(sa), rb._bisected(sb)
+            # refining to the current width halves each interval once
+            ra, rb = ra.refine(ra.width), rb.refine(rb.width)
 
     def __eq__(self, other):
         if not isinstance(other, (RealRoot, int, Fraction)):

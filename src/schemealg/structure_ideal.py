@@ -3,9 +3,10 @@
 For a scheme with classes 0..d the ideal is generated by x_0 - 1 together
 with x_i*x_j - sum_k p_ij^k x_k (constants absorbed via x_0 = 1).  That set
 is a reduced Groebner basis for any total-degree order, with normal set
-{1, x_1, ..., x_d}, exactly when the tensor is associative; this module builds
-it, certifies that integer identity, and reads the multiplication matrices of
-the quotient algebra off the tensor (they are the intersection matrices).
+{1, x_1, ..., x_d}, exactly when the tensor is associative.  This module
+certifies that integer identity, reads the multiplication matrices of the
+quotient algebra off the tensor (they are the intersection matrices), and
+writes the basis out as polynomials only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
 from .exactmath import QMatrix
-from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form
+# normal_form is unused here: perfbench/test_perfbench.py checks that its tracer wraps this binding
+from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form  # noqa: F401
 from .scheme import Scheme, intersection_matrix
 
 
 @dataclass(frozen=True)
 class StructureBasis:
-    """A scheme's structure ideal, held as a reduced degree-order basis."""
+    """A scheme whose tensor passed the associativity certificate, viewed as
+    the reduced degree-order basis of its structure ideal."""
 
     scheme: Scheme
-    basis: PolyBasis
-    normal_set: tuple
 
     @property
     def nvars(self):
@@ -32,50 +33,57 @@ class StructureBasis:
 
     @property
     def quotient_dimension(self):
-        return len(self.normal_set)
+        return self.nvars
+
+    @property
+    def normal_set(self):
+        nv = self.nvars
+        return (Monomial.one(nv),) + tuple(Monomial.variable(i, nv) for i in range(1, nv))
+
+    @property
+    def basis(self) -> PolyBasis:
+        """x_0 - 1 and x_i x_j - sum_k p_ij^k x_k for 1 <= i <= j, sorted by
+        leading monomial; written out from the tensor on every read."""
+        nv, p = self.nvars, self.scheme.tensor.p
+        x = [MPoly.variable(i, nv) for i in range(nv)]
+        gens = [x[0] - 1] + [x[i] * x[j] - _linear(p[i][j]) for i in range(1, nv) for j in range(i, nv)]
+        order = MonomialOrder.degree(nv)
+        return PolyBasis(sorted(gens, key=lambda g: order.key(g.leading_monomial(order))), order)
+
+
+def _linear(v):
+    """sum_k v[k] x_k, with x_0 read as 1."""
+    nv = len(v)
+    return MPoly(nv, {Monomial.one(nv) if k == 0 else Monomial.variable(k, nv): c for k, c in enumerate(v)})
 
 
 def structure_basis(s: Scheme) -> StructureBasis:
-    """Build the structure basis and certify it: (x_i x_j) x_l = x_i (x_j x_l)
-    in integers for all i <= j and l.  That is Buchberger's criterion for this
-    basis (the S-polynomial of x_i x_j and x_j x_l compares exactly those two
-    products; pairs with x_0 - 1 are coprime), so a failure means the tensor
-    is not associative, i.e. broken.
+    """Certify the structure basis: (x_i x_j) x_l = x_i (x_j x_l) in integers
+    for all i <= j and l.  That is Buchberger's criterion for this basis (the
+    S-polynomial of x_i x_j and x_j x_l compares exactly those two products;
+    pairs with x_0 - 1 are coprime), so a failure means the tensor is not
+    associative, i.e. broken.  The failure names the S-polynomial's normal
+    form, sum_k (right_k - left_k) x_k: each x_t x_l has one reducer.
     """
     d = s.d
-    nv = d + 1
     p = s.tensor.p
-    relation = {}
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            terms = {Monomial.variable(i, nv).mul(Monomial.variable(j, nv)): 1}
-            terms[Monomial.one(nv)] = terms.get(Monomial.one(nv), 0) - p[i][j][0]
-            for k in range(1, d + 1):
-                if p[i][j][k]:
-                    terms[Monomial.variable(k, nv)] = -p[i][j][k]
-            relation[i, j] = MPoly(nv, terms)
-    gens = [MPoly.variable(0, nv) - 1, *relation.values()]
-    order = MonomialOrder.degree(nv)
-    gens.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    basis = PolyBasis(gens, order)
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             for l in range(1, d + 1):
-                if _associates(p, i, j, l):
-                    continue
-                xi, xl = MPoly.variable(i, nv), MPoly.variable(l, nv)
-                s_pair = xl * relation[i, j] - xi * relation[min(j, l), max(j, l)]
-                raise InternalInvariantViolation(
-                    f"structure relations are not a Groebner basis: "
-                    f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
-                    f"offending reduction: {normal_form(s_pair, basis).render()}"
-                )
-    normal_set = (Monomial.one(nv),) + tuple(Monomial.variable(i, nv) for i in range(1, nv))
-    return StructureBasis(scheme=s, basis=basis, normal_set=normal_set)
+                left, right = _products(p, i, j, l)
+                if left != right:
+                    nf = _linear([b - a for a, b in zip(left, right)])
+                    raise InternalInvariantViolation(
+                        f"structure relations are not a Groebner basis: "
+                        f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
+                        f"offending reduction: {nf.render()}"
+                    )
+    return StructureBasis(scheme=s)
 
 
-def _associates(p, i, j, l):
-    """True iff sum_t p_ij^t p_tl^k == sum_t p_jl^t p_it^k for every k."""
+def _products(p, i, j, l):
+    """The coordinates of (x_i x_j) x_l and x_i (x_j x_l):
+    sum_t p_ij^t p_tl^k and sum_t p_jl^t p_it^k for every k."""
     left, right = [0] * len(p), [0] * len(p)
     for t in range(len(p)):
         a, b = p[i][j][t], p[j][l][t]
@@ -83,7 +91,7 @@ def _associates(p, i, j, l):
             left = [x + a * y for x, y in zip(left, p[t][l])]
         if b:
             right = [x + b * y for x, y in zip(right, p[i][t])]
-    return left == right
+    return left, right
 
 
 def multiplication_matrix(sb: StructureBasis, i: int) -> QMatrix:

@@ -429,6 +429,38 @@ def test_every_class_matrix_sends_the_identity_to_its_class():
             assert intersection_matrix(s, i).column(0) == tuple(int(k == i) for k in range(n))
 
 
+def _separating_sets(s):
+    """All smallest class sets whose columns of P separate the rows of P.
+
+    The Bose-Mesner algebra is isomorphic to C^(d+1) through its characters
+    (the rows of P), so a class set S generates it exactly when no two rows
+    agree on every column in S (Bannai-Ito, Algebraic Combinatorics I, 2.2):
+    S must meet every difference mask {i : P[nu][i] != P[mu][i]}.  The masks
+    come from the certified character table, not from the closure that
+    `minimal_generating_sets` runs.
+    """
+    P = character_table(s).P
+    masks = [
+        {i for i in range(1, s.d + 1) if P[nu][i].compare(P[mu][i])}
+        for nu, mu in itertools.combinations(range(len(P)), 2)
+    ]
+    for size in range(1, s.d + 1):
+        found = tuple(
+            cand
+            for cand in itertools.combinations(range(1, s.d + 1), size)
+            if all(mask.intersection(cand) for mask in masks)
+        )
+        if found:
+            return found
+
+
+def test_minimal_generating_sets_are_the_smallest_separating_sets():
+    schemes = _distinct_orbit_tensors(24, 24)
+    assert len(schemes) == 53
+    for s in schemes:
+        assert minimal_generating_sets(s) == _separating_sets(s), s.tensor.p
+
+
 # ---------------------------------------------------------------------------
 # generic elements
 # ---------------------------------------------------------------------------

@@ -590,3 +590,22 @@ def test_exit_4_inexpressible(ex2_file):
     r = run_cli("express", ex2_file, "--classes", "2,3")
     assert r.returncode == 4
     assert "analysis failed:" in r.stderr
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, ex1_file):
+    from schemealg import cli
+
+    real_build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(True)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli.main(["validate", ex1_file]) == 0
+    assert cli.main(["validate", ex1_file, "--format", "json"]) == 0
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("valid: yes\n") and json.loads(out[out.index("{") :])["valid"] is True

@@ -374,6 +374,19 @@ class TestRealRoot:
         assert a == b
         assert a.compare(b) == 0
 
+    def test_compare_halves_overlapping_intervals_until_they_separate(self):
+        # every enclosure starts as (1, 2) and no two witnesses share a root,
+        # so compare must halve both until they separate: 28 halvings for
+        # sqrt(2 + 10^-8) - sqrt(2) ~ 3.5e-9
+        one, two = Fraction(1), Fraction(2)
+        sqrt2 = RealRoot.isolated(upoly(1, 0, -2), one, two)
+        sqrt3 = RealRoot.isolated(upoly(1, 0, -3), one, two)
+        near = RealRoot.isolated(upoly(10**8, 0, -(2 * 10**8 + 1)), one, two)
+        assert sqrt2.compare(sqrt3) == -1 and sqrt3.compare(sqrt2) == 1
+        assert sqrt2.compare(near) == -1 and near.compare(sqrt2) == 1
+        assert sorted([near, sqrt3, sqrt2]) == [sqrt2, near, sqrt3]
+        assert (sqrt2.low, sqrt2.high) == (one, two)
+
     def test_negation_via_scale(self):
         plus, minus = self.sqrt2(), real_roots(upoly(1, 0, -2))[0]
         assert plus.scale(-1) == minus

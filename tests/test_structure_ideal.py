@@ -10,6 +10,7 @@ from schemealg.errors import InternalInvariantViolation, NotConstantIntersection
 from schemealg.exactmath import QMatrix
 from schemealg.polyring import Monomial, MonomialOrder, MPoly, PolyBasis, is_groebner, normal_form
 from schemealg.scheme import IntersectionTensor, Scheme, intersection_matrices, orbit_scheme
+from schemealg import polyring, structure_ideal
 from schemealg.structure_ideal import (
     idempotent_equations,
     multiplication_matrix,
@@ -136,6 +137,94 @@ def test_tampered_tensor_rejected():
         match=r"\(x1\*x1\)\*x2 != x1\*\(x1\*x2\); offending reduction: -4\*x1 - 4\*x2 - 4$",
     ):
         structure_basis(Scheme(tensor=tensor))
+
+
+def _written_out_basis(p):
+    """The degree-order structure basis built term by term, as structure_basis
+    built it before the basis became a view: the relations, keyed (i, j), and
+    the basis of x0 - 1 and all of them."""
+    nv = len(p)
+    relation = {}
+    for i in range(1, nv):
+        for j in range(i, nv):
+            terms = {Monomial.variable(i, nv).mul(Monomial.variable(j, nv)): 1}
+            terms[Monomial.one(nv)] = terms.get(Monomial.one(nv), 0) - p[i][j][0]
+            for k in range(1, nv):
+                if p[i][j][k]:
+                    terms[Monomial.variable(k, nv)] = -p[i][j][k]
+            relation[i, j] = MPoly(nv, terms)
+    gens = [MPoly.variable(0, nv) - 1, *relation.values()]
+    order = MonomialOrder.degree(nv)
+    gens.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return relation, PolyBasis(gens, order)
+
+
+def _s_pair_message(p):
+    """The failure structure_basis must report, found the Buchberger way: the
+    first triple i <= j, l (in loop order) whose S-polynomial
+    x_l (x_i x_j - ...) - x_i (x_j x_l - ...) has a nonzero normal form."""
+    nv = len(p)
+    relation, basis = _written_out_basis(p)
+    for i in range(1, nv):
+        for j in range(i, nv):
+            for l in range(1, nv):
+                xi, xl = MPoly.variable(i, nv), MPoly.variable(l, nv)
+                s_pair = xl * relation[i, j] - xi * relation[min(j, l), max(j, l)]
+                nf = normal_form(s_pair, basis)
+                if not nf.is_zero():
+                    return (
+                        f"structure relations are not a Groebner basis: "
+                        f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
+                        f"offending reduction: {nf.render()}"
+                    )
+    return None
+
+
+def test_certificate_builds_no_polynomials(monkeypatch, hamming_scheme):
+    schemes = [orbit_scheme(13, 5), orbit_scheme(40, 39), hamming_scheme]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate built a polynomial")
+
+    monkeypatch.setattr(MPoly, "__init__", refuse)
+    monkeypatch.setattr(PolyBasis, "__init__", refuse)
+    monkeypatch.setattr(polyring, "normal_form", refuse)
+    monkeypatch.setattr(structure_ideal, "normal_form", refuse)
+    for s in schemes:
+        assert structure_basis(s).scheme is s
+
+
+def test_basis_view_equals_the_written_out_basis(hamming_scheme):
+    for s in (orbit_scheme(13, 5), orbit_scheme(40, 39), hamming_scheme):
+        sb = structure_basis(s)
+        assert sb.basis == _written_out_basis(s.tensor.p)[1]
+        nv = s.d + 1
+        assert sb.normal_set == (Monomial.one(nv),) + tuple(
+            Monomial.variable(i, nv) for i in range(1, nv)
+        )
+
+
+def _failure(p):
+    try:
+        structure_basis(Scheme(tensor=IntersectionTensor(p).validate()))
+    except InternalInvariantViolation as e:
+        return str(e)
+    return None
+
+
+def test_failure_message_is_the_s_pair_normal_form():
+    tampered = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (6, 4, 5), (0, 1, 1)),
+        ((0, 0, 1), (0, 1, 1), (2, 1, 0)),
+    )
+    tensors = [tampered, CONSTANT_TERMS_ASSOCIATE, *_d2_tensors(), *_perturbed_orbit_tensors(7, 60)]
+    failing = 0
+    for p in tensors:
+        expected = _s_pair_message(p)
+        assert _failure(p) == expected, p
+        failing += expected is not None
+    assert (len(tensors), failing) == (101, 83)
 
 
 def _buchberger_accepts(p):
