@@ -24,7 +24,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import ceil, comb, floor, gcd, prod
 
 from .errors import (
@@ -34,10 +33,9 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import RealRoot, UniPoly, real_roots, refine_until
+from .exactmath import UniPoly, real_roots, refine_until
 from .fglm import (
     ReducedGB,
-    VarietyPoint,
     _algebraic_value,
     _certify_point,
     _SolveContext,
@@ -48,17 +46,9 @@ from .fglm import (
     solve_triangular,
     solved_forms,
 )
-from .polyring import MonomialOrder, MPoly
+from .polyring import MonomialOrder
 from .scheme import Scheme
 from .structure_ideal import StructureBasis, multiplication_matrix, structure_basis
-
-
-def _cmp_rows(a, b):
-    for x, y in zip(a, b):
-        c = x.compare(y)
-        if c:
-            return c
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +66,6 @@ def variety_points(sb: StructureBasis):
     share one _SolveContext, so each class's spectrum is computed once.
     """
     nv = sb.nvars
-    d = nv - 1
-    if d == 0:
-        return (VarietyPoint((RealRoot.rational(1),)),)
     ctx = _SolveContext(sb)
     for i in range(1, nv):
         rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
@@ -91,12 +78,12 @@ def variety_points(sb: StructureBasis):
 
 
 def _points_from_generic(ctx, ge):
-    nv = ctx.sb.nvars
-    d = nv - 1
-    exprs = [MPoly.from_unipoly(e, d, nv) for e in ge.expressions]
     points = []
     for root in real_roots(ge.eliminant):
-        coords = tuple(_algebraic_value(ctx, e, {d: root}, j) for j, e in enumerate(exprs))
+        coords = tuple(
+            _algebraic_value(ctx, (root,), lambda ivs, e=e: e.evaluate_interval(*ivs), j)
+            for j, e in enumerate(ge.expressions)
+        )
         points.append(_certify_point(ctx, coords))
     return tuple(points)
 
@@ -133,14 +120,10 @@ class CharacterTable:
 
     def p_fractions(self):
         """P as exact numbers; raises if any entry is irrational."""
-        if not self.all_rational():
-            raise ValueError("character table has irrational entries")
-        return tuple(tuple(c.value for c in row) for row in self.P)
+        return _fractions(self.P)
 
     def q_fractions(self):
-        if any(not c.is_rational for row in self.Q for c in row):
-            raise ValueError("character table has irrational entries")
-        return tuple(tuple(c.value for c in row) for row in self.Q)
+        return _fractions(self.Q)
 
     def check_orthogonality(self) -> bool:
         """Certify P @ Q = |X| * I by interval enclosures of every entry,
@@ -168,6 +151,12 @@ class CharacterTable:
 
         entries = [c for row in self.P for c in row] + [c for row in self.Q for c in row]
         return refine_until(entries, verdict, "orthogonality")
+
+
+def _fractions(rows):
+    if any(not c.is_rational for row in rows for c in row):
+        raise ValueError("character table has irrational entries")
+    return tuple(tuple(c.value for c in row) for row in rows)
 
 
 def _multiplicity(order, valencies, row):
@@ -198,12 +187,14 @@ def _multiplicity(order, valencies, row):
 def character_table(s: Scheme) -> CharacterTable:
     """Compute P and Q for a scheme, with every step certified.
 
-    Q comes from the multiplicities, Q[i][nu] = m_nu * P[nu][i] / k_i, each
+    P's rows are the variety points in descending lexicographic order.  Q
+    comes from the multiplicities, Q[i][nu] = m_nu * P[nu][i] / k_i, each
     m_nu certified to be a positive integer.  Raises
     InternalInvariantViolation if the variety is deficient (fewer than d+1
     real points), fails the eigenvalue cross-check, lacks the valency row, or
-    has a non-integral multiplicity — all signs of a tensor that is not a
-    genuine scheme.
+    has a non-integral multiplicity.  Only the last can happen on a
+    validated associative tensor (srg(5,3,1,3) gives m = 5/2); the others
+    are internal invariants.
     """
     sb = structure_basis(s)
     pts = variety_points(sb)
@@ -215,16 +206,11 @@ def character_table(s: Scheme) -> CharacterTable:
     if not moller_stetter_check(sb, pts):
         raise InternalInvariantViolation("variety points fail the eigenvalue cross-check")
     val = s.valencies
-    valency_rows = [
-        pt
-        for pt in pts
-        if pt.is_rational() and pt.rational_tuple() == tuple(val)
-    ]
-    if len(valency_rows) != 1:
+    # |P[nu][i]| <= k_i (Perron-Frobenius: B_i is nonnegative with row sums
+    # k_i) and the rows are distinct, so the valency row sorts first
+    ordered = tuple(sorted(pts, key=lambda pt: pt.coordinates, reverse=True))
+    if not (ordered[0].is_rational() and ordered[0].rational_tuple() == tuple(val)):
         raise InternalInvariantViolation("valency point missing from the variety")
-    rest = [pt for pt in pts if pt is not valency_rows[0]]
-    rest.sort(key=cmp_to_key(lambda a, b: _cmp_rows(a.coordinates, b.coordinates)), reverse=True)
-    ordered = (valency_rows[0], *rest)
     P = tuple(pt.coordinates for pt in ordered)
     mults = [_multiplicity(s.order, val, row) for row in P]
     if sum(mults) != s.order:
@@ -381,8 +367,6 @@ def minimal_generating_sets(s: Scheme):
     candidates.
     """
     d = s.d
-    if d == 0:
-        return ((),)
     columns = _sparse_columns(structure_basis(s))
     dims = sorted((_closure_size(columns, (i,)) for i in range(1, d + 1)), reverse=True)
     for size in range(1, d):

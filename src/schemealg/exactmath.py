@@ -254,24 +254,20 @@ class UniPoly:
     # -- display ------------------------------------------------------------
 
     def render(self, var="x"):
-        if not self._c:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            a = self.coeff(k)
-            if a == 0:
-                continue
-            mag = abs(a)
-            if k == 0:
-                body = str(mag)
-            else:
-                pw = var if k == 1 else f"{var}^{k}"
-                body = pw if mag == 1 else f"{mag}*{pw}"
-            if not parts:
-                parts.append(body if a > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if a > 0 else f"- {body}")
-        return " ".join(parts)
+        powers = [None, var] + [f"{var}^{k}" for k in range(2, len(self._c))]
+        return _render_terms((a, powers[k]) for k, a in reversed(list(enumerate(self._c))) if a)
+
+
+def _render_terms(terms):
+    """Join (coefficient, monomial text or None for 1) pairs, in print order,
+    as signed terms: "-2*x^2 + x - 3"; "0" when there are none."""
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = str(mag) if mono is None else mono if mag == 1 else f"{mag}*{mono}"
+        sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

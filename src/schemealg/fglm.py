@@ -191,28 +191,23 @@ class _SolveContext:
         return self._spectra[var]
 
 
-def _algebraic_value(ctx, expr: MPoly, assign, var):
-    """Value of `expr` at an assignment (dict variable -> RealRoot), known to
-    be an eigenvalue of the var-th multiplication matrix: the one spectrum
-    value whose interval meets the interval enclosure of `expr`, with the
-    assignment refined until exactly one does (a rational assignment is a
-    point, so it decides in the first round)."""
+def _algebraic_value(ctx, values, enclosure, var):
+    """The eigenvalue of the var-th multiplication matrix that lies in
+    enclosure(intervals of `values`): the one spectrum value whose interval
+    meets it, with `values` (RealRoots) refined until exactly one does
+    (rational values are points, so they decide in the first round)."""
     spectrum = ctx.spectrum(var)
-    variables = list(assign)
 
     def verdict(values):
-        ivs = [Interval.point(0)] * expr.nvars
-        for j, v in zip(variables, values):
-            ivs[j] = v.interval()
-        enclosure = expr.evaluate_interval(ivs)
-        hits = [c for c in spectrum if c.interval().intersect(enclosure) is not None]
+        enc = enclosure([v.interval() for v in values])
+        hits = [c for c in spectrum if c.interval().intersect(enc) is not None]
         if not hits:
             raise InternalInvariantViolation(
                 "back-substituted value escaped the multiplication-matrix spectrum"
             )
         return hits[0] if len(hits) == 1 else None
 
-    return refine_until(assign.values(), verdict, "back-substitution")
+    return refine_until(values, verdict, "back-substitution")
 
 
 def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
@@ -256,8 +251,16 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
                     raise NotTriangularEnough(
                         f"no solved form for x{y} over an irrational partial point"
                     )
+                form, variables = forms[y], list(assign)
+
+                def enclosure(ivs):
+                    box = [Interval.point(0)] * nv
+                    for j, iv in zip(variables, ivs):
+                        box[j] = iv
+                    return form.evaluate_interval(box)
+
                 ext = dict(assign)
-                ext[y] = _algebraic_value(ctx, forms[y], assign, y)
+                ext[y] = _algebraic_value(ctx, assign.values(), enclosure, y)
                 nxt.append(ext)
         partials = nxt
     return tuple(_certify_point(ctx, tuple(a[j] for j in range(nv))) for a in partials)

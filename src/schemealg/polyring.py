@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ZeroPolynomial
-from .exactmath import Interval, UniPoly, _num
+from .exactmath import Interval, UniPoly, _num, _render_terms
 
 
 class Monomial(tuple):
@@ -297,17 +297,17 @@ class MPoly:
     def partial_eval(self, assignment):
         """Substitute exact rational values for some variables (dict var -> value);
         the result stays in the same ring with those variables eliminated."""
-        out = MPoly.zero(self.nvars)
+        out = {}
         for m, c in self.terms.items():
-            coeff = c
             exps = list(m)
             for var, val in assignment.items():
                 e = exps[var]
                 if e:
-                    coeff *= Fraction(val) ** e
+                    c *= Fraction(val) ** e
                     exps[var] = 0
-            out = out + MPoly(self.nvars, {Monomial(exps): coeff})
-        return out
+            mono = Monomial(exps)
+            out[mono] = out.get(mono, 0) + c
+        return MPoly(self.nvars, out)
 
     def univariate_in(self, var):
         """View as a UniPoly in `var`; raises if other variables occur."""
@@ -326,22 +326,11 @@ class MPoly:
     # -- display ---------------------------------------------------------------
 
     def render(self, order=None):
-        if not self.terms:
-            return "0"
         order = order or MonomialOrder.degree(self.nvars)
-        parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[m]
-            mag = abs(c)
-            if m.is_one():
-                body = str(mag)
-            else:
-                body = m.render() if mag == 1 else f"{mag}*{m.render()}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_terms(
+            (self.terms[m], None if m.is_one() else m.render())
+            for m in sorted(self.terms, key=order.key, reverse=True)
+        )
 
     def __repr__(self):
         return f"MPoly({self.render()})"

@@ -32,7 +32,8 @@ from schemealg.scheme import (
     orbit_scheme,
     scheme_from_relations,
 )
-from schemealg.fglm import _SolveContext
+from schemealg.fglm import _SolveContext, fglm_convert, shape_forms
+from schemealg.polyring import MonomialOrder
 from schemealg.structure_ideal import structure_basis
 
 
@@ -210,8 +211,28 @@ def test_rational_table_with_non_integral_multiplicities_raises():
         character_table(s)
 
 
+# The tensor of "srg(7,3,0,2)": it validates and associates, but the
+# multiplicities are irrational, so the variety points are too.
+IRRATIONAL_MULTIPLICITIES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (3, 0, 2), (0, 2, 1)),
+    ((0, 0, 1), (0, 2, 1), (3, 1, 1)),
+)
+
+
+def test_irrational_table_with_non_integral_multiplicities_raises():
+    s = Scheme(tensor=IntersectionTensor(IRRATIONAL_MULTIPLICITIES).validate())
+    assert not all(pt.is_rational() for pt in variety_points(structure_basis(s)))
+    with pytest.raises(InternalInvariantViolation, match="multiplicity in \\[.*\\] is not an integer"):
+        character_table(s)
+
+
 def test_trivial_scheme():
     s = scheme_from_relations([[0]])
+    # the lex ladder has no class to try, so the point comes from the
+    # generic element's eliminant x - 1
+    (pt,) = variety_points(structure_basis(s))
+    assert pt.rational_tuple() == (1,)
     ct = character_table(s)
     assert _values(ct.P) == [[1]]
     assert _values(ct.Q) == [[1]]
@@ -459,6 +480,39 @@ def test_minimal_generating_sets_are_the_smallest_separating_sets():
     assert len(schemes) == 53
     for s in schemes:
         assert minimal_generating_sets(s) == _separating_sets(s), s.tensor.p
+
+
+def test_shape_forms_satisfy_the_structure_relations_modulo_the_eliminant():
+    # An exact oracle in Q[t]/(f) for the two shape-lemma parametrizations:
+    # if x_j = q_j(t) on every root of f, then every structure relation
+    # x_a x_b = sum_k p_ab^k x_k holds as q_a q_b = sum_k p_ab^k q_k mod f.
+    # One case is the lex basis of the first class i with dim Q[B_i] = d+1
+    # (q_i = t), the other the generic element's eliminant and expressions.
+    schemes = _distinct_orbit_tensors(24, 24)
+    assert len(schemes) == 53
+    separating = 0
+    for s in schemes:
+        sb, nv, p = structure_basis(s), s.d + 1, s.tensor.p
+        columns = _sparse_columns(sb)
+        cases = []
+        i = next((i for i in range(1, nv) if _closure_size(columns, (i,)) == nv), None)
+        if i is not None:
+            separating += 1
+            f, q = shape_forms(fglm_convert(sb, MonomialOrder.lex_smallest(nv, i)), i)
+            q[i] = UniPoly.monomial(1)
+            cases.append((f, [q[j] for j in range(nv)]))
+        ge = find_generic_element(s)
+        cases.append((ge.eliminant, list(ge.expressions)))
+        for f, q in cases:
+            assert f.degree == nv and q[0] == UniPoly.constant(1)
+            for a in range(1, nv):
+                for b in range(a, nv):
+                    rhs = UniPoly()
+                    for k, c in enumerate(p[a][b]):
+                        if c:
+                            rhs = rhs + q[k] * c
+                    assert (q[a] * q[b]) % f == rhs % f, (p, a, b)
+    assert separating == 43
 
 
 # ---------------------------------------------------------------------------

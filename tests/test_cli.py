@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -529,6 +530,32 @@ def test_exit_4_non_integral_multiplicities():
     assert r.returncode == 4
     assert r.stdout == ""
     assert "multiplicity" in r.stderr
+
+
+# Tensors from strongly-regular-graph parameters that pass the linear axioms
+# and associate, but have no scheme: their multiplicities are 5/2 and an
+# irrational number.
+SRG_TENSORS = {
+    "srg(5,3,1,3)": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [3, 1, 3], [0, 1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]],
+    "srg(7,3,0,2)": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [3, 0, 2], [0, 2, 1]], [[0, 0, 1], [0, 2, 1], [3, 1, 1]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SRG_TENSORS))
+def test_validate_passes_what_chartab_rejects_for_its_multiplicities(name, tmp_path, capsys):
+    # validate certifies the axioms and associativity, not that the
+    # multiplicities are integers
+    from schemealg import cli
+
+    path = tmp_path / "srg.json"
+    path.write_text(json.dumps({"type": "tensor", "p": SRG_TENSORS[name]}))
+    for cmd in ("validate", "ppoly", "mingen"):
+        assert cli.main([cmd, str(path)]) == 0
+        assert capsys.readouterr().err == ""
+    assert cli.main(["chartab", str(path)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"analysis failed: multiplicity in \[\S+, \S+\] is not an integer\n", out.err)
 
 
 def test_exit_4_mingen_over_the_candidate_limit(tmp_path, monkeypatch, capsys):
