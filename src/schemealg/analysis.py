@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, gcd, prod
+from math import ceil, comb, floor, prod
 
 from .errors import (
     AttemptsExhausted,
@@ -33,7 +33,7 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import UniPoly, real_roots, refine_until
+from .exactmath import UniPoly, _reduce_row, real_roots, refine_until
 from .fglm import (
     ReducedGB,
     _algebraic_value,
@@ -405,8 +405,8 @@ def _closure_size(columns, subset):
     `columns` is `_sparse_columns` of the structure basis.  Starting from
     e_0, each round applies every B_i of the subset to the vectors the
     previous round added, reduces the products against an integer echelon
-    keyed by pivot (fraction-free, each vector divided by the gcd of its
-    entries) and keeps every nonzero remainder.  The span is then the
+    keyed by pivot with `exactmath._reduce_row` (the fraction-free kernel
+    FGLM uses too) and keeps every nonzero remainder.  The span is then the
     subalgebra applied to e_0, which is the subalgebra itself since e_0 is
     the identity.  Returns d+1 as soon as the echelon holds d+1 vectors, and
     the echelon's size when a round adds none.
@@ -424,24 +424,12 @@ def _closure_size(columns, subset):
                     if x:
                         for k, a in col:
                             w[k] += a * x
-                for p in range(n):
-                    c = w[p]
-                    if not c:
-                        continue
-                    v = echelon.get(p)
-                    if v is None:
-                        g = gcd(*w)
-                        w = tuple(x // g for x in w)
-                        echelon[p] = w
-                        added.append(w)
-                        if len(echelon) == n:
-                            return n
-                        break
-                    a = v[p]
-                    w = [a * x - c * y for x, y in zip(w, v)]
-                    g = gcd(*w)
-                    if g > 1:
-                        w = [x // g for x in w]
+                w, pivot = _reduce_row(echelon, w, n)
+                if pivot is not None:
+                    echelon[pivot] = w
+                    added.append(w)
+                    if len(echelon) == n:
+                        return n
         new = added
     return len(echelon)
 

@@ -412,6 +412,34 @@ class QMatrix:
         return UniPoly(coeffs)
 
 
+def _reduce_row(echelon, w, n):
+    """Reduce the integer vector `w` over its first n entries (its head)
+    against `echelon`, a dict pivot -> integer row whose entries before the
+    pivot are 0.  Returns (row, pivot): the remainder divided by its content
+    and the index of its first nonzero head entry, or the remainder and None
+    when the head reduced to 0.
+
+    Each step is fraction-free, w <- a*w - c*v for the row v at w's first
+    nonzero head entry c (a the pivot entry of v), so the remainder is an
+    integer combination of w and the echelon rows; entries past n are carried
+    through the same steps and record that combination when they start as a
+    unit vector."""
+    for p in range(n):
+        c = w[p]
+        if not c:
+            continue
+        v = echelon.get(p)
+        if v is None:
+            g = math.gcd(*w)
+            return tuple(x // g for x in w), p
+        a = v[p]
+        w = [a * x - c * y for x, y in zip(w, v)]
+        g = math.gcd(*w)
+        if g > 1:
+            w = [x // g for x in w]
+    return tuple(w), None
+
+
 # ---------------------------------------------------------------------------
 # rational interval arithmetic (closed intervals, outward exact bounds)
 # ---------------------------------------------------------------------------

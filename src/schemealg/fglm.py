@@ -3,7 +3,9 @@
 The quotient algebra of a structure ideal is finite-dimensional, so a target
 Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
-needed.  `solved_forms` is the one reader of generators x_j - tail(smaller
+needed.  The dependencies are found by fraction-free integer elimination,
+the `exactmath._reduce_row` kernel that the mingen closure uses too.
+`solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
 extracted from a lex basis: real roots of the eliminant, back-substitution
@@ -17,13 +19,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
 from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
+    _reduce_row,
     real_roots,
     refine_until,
 )
@@ -97,7 +99,17 @@ def fglm_convert(sb: StructureBasis, target: MonomialOrder) -> ReducedGB:
 def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     """FGLM over explicit multiplication matrices (column m = image of the
     m-th normal-set monomial).  The matrices must pairwise commute and the
-    first normal-set monomial must be 1."""
+    first normal-set monomial must be 1.
+
+    Monomials are visited in ascending target order.  Each one's vector, with
+    a unit slot appended for it and scaled to integers (the matrices may be
+    rational), is reduced by `_reduce_row` against an integer echelon whose
+    rows carry, past the head, their combination over the staircase.  An
+    independent vector joins the staircase; a dependent one leaves a tail
+    that is the relation mono + sum_t (tail_t / tail_mono) t, a border
+    generator.  Membership in the staircase and each generator are fixed by
+    the span alone, so the reduced basis does not depend on the echelon's
+    form."""
     nv = target.nvars
     if len(mats) != nv:
         raise DimensionMismatch("need one multiplication matrix per variable")
@@ -106,7 +118,7 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
 
     staircase = []  # new normal set, in ascending target order (discovery order)
     raw = {}  # staircase monomial -> its coordinate vector
-    echelon = []  # (pivot, unit-pivot vector, combination over staircase monomials)
+    echelon = {}  # pivot -> integer row [head | tail]
     generators = []
     lead_terms = []
 
@@ -130,33 +142,22 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
         else:
             pmono, var = parents[mono]
             vec = mats[var].apply(raw[pmono])
-        residue = list(vec)
-        combo = {}
-        for pivot, unit, expansion in echelon:
-            c = residue[pivot]
-            if c:
-                for idx in range(dim):
-                    residue[idx] -= c * unit[idx]
-                for t, ct in expansion.items():
-                    combo[t] = combo.get(t, 0) + c * ct
-        if any(residue):
-            pivot = next(i for i, x in enumerate(residue) if x)
-            pv = residue[pivot]
-            unit = tuple(Fraction(x, 1) / pv if pv != 1 else x for x in residue)
-            expansion = {mono: Fraction(1, 1) / pv}
-            for t, ct in combo.items():
-                expansion[t] = -Fraction(ct, 1) / pv
+        # The row starts as den * [vec | e_slot], slot len(staircase) and den
+        # the common denominator; every row stays sum_s tail[s] * [vec(s) | e_s]
+        # over the staircase and the candidate.
+        den = math.lcm(*(x.denominator for x in vec))
+        w = [x.numerator * (den // x.denominator) for x in vec] + [0] * (dim + 1)
+        w[dim + len(staircase)] = den
+        row, pivot = _reduce_row(echelon, w, dim)
+        if pivot is not None:
             staircase.append(mono)
             raw[mono] = vec
-            echelon.append((pivot, unit, expansion))
+            echelon[pivot] = row
             for var in range(nv):
                 push(mono.mul(Monomial.variable(var, nv)), (mono, var))
         else:
-            terms = {mono: 1}
-            for t, ct in combo.items():
-                if ct:
-                    terms[t] = -ct
-            generators.append(MPoly(nv, terms))
+            # head 0: the tail is a relation, made monic by PolyBasis below
+            generators.append(MPoly(nv, zip((*staircase, mono), row[dim:])))
             lead_terms.append(mono)
     if len(staircase) != dim:
         raise InternalInvariantViolation(

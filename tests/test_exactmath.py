@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from schemealg.exactmath import (
     QMatrix,
     RealRoot,
     UniPoly,
+    _reduce_row,
     _sign,
     _sign_at,
     format_decimal,
@@ -107,6 +109,46 @@ class TestQMatrix:
         ).charpoly(x)
         expect = [Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())]
         assert QMatrix(rows).charpoly() == UniPoly(expect)
+
+
+def test_reduce_row_keeps_an_integer_echelon_and_carries_the_tail():
+    # Seeded random vectors drawn from a low-rank span, so that dependent
+    # heads are common.  Each enters as scale*[head | e_k], scale in 1..3
+    # (content at least scale), and the kernel must turn the tail into the exact
+    # combination of the heads that its row is.
+    def rank(rows):
+        return len(QMatrix(rows).rref()[1]) if rows else 0
+
+    rng = random.Random(14)
+    dependent = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        span = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        heads = [
+            [sum(rng.randint(-3, 3) * b[i] for b in span) for i in range(n)]
+            for _ in range(rng.randint(1, 9))
+        ]
+        echelon = {}
+        for k, head in enumerate(heads):
+            scale = rng.randint(1, 3)
+            w = [scale * x for x in head] + [0] * len(heads)
+            w[n + k] = scale
+            row, pivot = _reduce_row(echelon, w, n)
+            tail = row[n:]
+            assert tail[k] != 0 and not any(tail[k + 1 :])
+            assert list(row[:n]) == [sum(c * h[i] for c, h in zip(tail, heads)) for i in range(n)]
+            in_span = rank(heads[: k + 1]) == rank(heads[:k])
+            assert (pivot is None) == in_span
+            if pivot is None:
+                assert not any(row[:n])
+                dependent += 1
+            else:
+                assert pivot not in echelon
+                assert row[pivot] != 0 and not any(row[:pivot])
+                assert math.gcd(*row) == 1
+                echelon[pivot] = row
+        assert len(echelon) == rank(heads)
+    assert dependent > 30
 
 
 class TestUniPoly:

@@ -1,6 +1,8 @@
 """Tests for order conversion and triangular solving."""
 
+import heapq
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,7 +20,7 @@ from schemealg.fglm import (
     shape_forms,
     solve_triangular,
 )
-from schemealg.polyring import Monomial, MonomialOrder, PolyBasis, normal_form
+from schemealg.polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form
 from schemealg.scheme import orbit_scheme
 from schemealg.structure_ideal import multiplication_matrix, structure_basis
 
@@ -275,3 +277,87 @@ def test_lex_bases_of_orbit_schemes_have_the_shape_lemma_form():
                 assert all(g.support_vars() <= below for g in leaders)
         assert find_generic_element(s).eliminant.degree == nv
     assert conversions == 370
+
+
+def _fraction_fglm(mats, target):
+    """The unit-pivot Fraction FGLM that `fglm_from_matrices` replaced, kept
+    as its reference: each echelon row is scaled to pivot 1 and carries its
+    combination over the staircase as a dict.  Returns (basis, normal set)."""
+    nv = target.nvars
+    dim = mats[0].nrows
+    one = Monomial.one(nv)
+    staircase, raw, echelon, generators, lead_terms = [], {}, [], [], []
+    heap, seen, parents = [], set(), {}
+
+    def push(m, parent):
+        if m not in seen:
+            seen.add(m)
+            parents[m] = parent
+            heapq.heappush(heap, (target.key(m), m))
+
+    push(one, None)
+    while heap:
+        _, mono = heapq.heappop(heap)
+        if any(lt.divides(mono) for lt in lead_terms):
+            continue
+        if mono == one:
+            vec = tuple(1 if i == 0 else 0 for i in range(dim))
+        else:
+            pmono, var = parents[mono]
+            vec = mats[var].apply(raw[pmono])
+        residue = list(vec)
+        combo = {}
+        for pivot, unit, expansion in echelon:
+            c = residue[pivot]
+            if c:
+                for idx in range(dim):
+                    residue[idx] -= c * unit[idx]
+                for t, ct in expansion.items():
+                    combo[t] = combo.get(t, 0) + c * ct
+        if any(residue):
+            pivot = next(i for i, x in enumerate(residue) if x)
+            pv = Fraction(residue[pivot])
+            expansion = {mono: 1 / pv}
+            for t, ct in combo.items():
+                expansion[t] = -ct / pv
+            staircase.append(mono)
+            raw[mono] = vec
+            echelon.append((pivot, tuple(x / pv for x in residue), expansion))
+            for var in range(nv):
+                push(mono.mul(Monomial.variable(var, nv)), (mono, var))
+        else:
+            generators.append(MPoly(nv, {mono: 1, **{t: -ct for t, ct in combo.items()}}))
+            lead_terms.append(mono)
+    generators.sort(key=lambda g: target.key(g.leading_monomial(target)))
+    return PolyBasis(generators, target), tuple(staircase)
+
+
+def test_fglm_from_matrices_matches_the_fraction_reference():
+    # Distinct orbit tensors with m <= 18 under every lex_smallest order, the
+    # degree order and a block order; one matrix set with the last class
+    # replaced by an integer combination, as `_generic_element` builds it;
+    # and rational input, B_i scaled by 1/(i+1), whose vectors mix int,
+    # Fraction(x, 1) and proper fractions.
+    tensors = {}
+    for m in range(3, 19):
+        for r in range(2, m):
+            if gcd(r, m) == 1:
+                s = orbit_scheme(m, r)
+                tensors.setdefault(s.tensor.p, s)
+    cases = []
+    for s in tensors.values():
+        sb = structure_basis(s)
+        nv = sb.nvars
+        mats = [multiplication_matrix(sb, i) for i in range(nv)]
+        orders = [MonomialOrder.lex_smallest(nv, v) for v in range(1, nv)]
+        orders += [MonomialOrder.degree(nv), MonomialOrder.lex_block_smallest(nv, range(1, min(3, nv)))]
+        cases += [(mats, order) for order in orders]
+        scaled = [b.scale(Fraction(1, i + 1)) for i, b in enumerate(mats)]
+        cases += [(scaled, MonomialOrder.lex_smallest(nv, nv - 1)), (scaled, MonomialOrder.degree(nv))]
+    sb = structure_basis(orbit_scheme(13, 5))
+    mats = [multiplication_matrix(sb, i) for i in range(4)]
+    mats[3] = mats[3] + mats[1].scale(3) + mats[2].scale(7)
+    cases.append((mats, MonomialOrder.lex(tuple(range(sb.nvars)))))
+    for mats, order in cases:
+        rgb = fglm_from_matrices(mats, order)
+        assert (rgb.basis, rgb.normal_set) == _fraction_fglm(mats, order)
