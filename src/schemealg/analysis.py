@@ -115,9 +115,6 @@ class CharacterTable:
     def size(self):
         return len(self.P)
 
-    def all_rational(self):
-        return all(c.is_rational for row in self.P for c in row)
-
     def p_fractions(self):
         """P as exact numbers; raises if any entry is irrational."""
         return _fractions(self.P)
@@ -468,57 +465,45 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
     saving: a linear change of the last coordinate only changes its
     multiplication matrix to the matching linear combination, so each retry
     is a fresh linear-algebra conversion, never a new Groebner computation.
+    x_d = y - sum_v lam_v q_v(y) is taken modulo the eliminant: that changes
+    nothing for d >= 1 (degree d < d+1) and gives x_0 = 1 when d = 0.
     """
     nv = sb.nvars
     d = nv - 1
     order = MonomialOrder.lex(tuple(range(nv)))
-    if d == 0:
-        rgb = fglm_from_matrices([multiplication_matrix(sb, 0)], order)
-        return GenericElement(
-            coefficients=(1,),
-            changes=(),
-            eliminant=UniPoly((-1, 1)),
-            expressions=(UniPoly.constant(1),),
-            basis=rgb,
-        )
     mats = [multiplication_matrix(sb, i) for i in range(nv)]
     rng = random.Random(rng_seed)
-    lam = [0] * nv
-    lam[d] = 1
+    lam = [0] * d + [1]
     changes = []
-    for round_num in range(max_attempts + 1):
+    while True:
         eff_last = mats[d]
         for v in range(d):
             if lam[v]:
                 eff_last = eff_last + mats[v].scale(lam[v])
-        eff = list(mats)
-        eff[d] = eff_last
-        rgb = fglm_from_matrices(eff, order)
+        rgb = fglm_from_matrices(mats[:d] + [eff_last], order)
         elim, exprs = shape_forms(rgb, d)
         missing = [j for j in range(d) if j not in exprs]
         if not missing:
-            if not elim.is_squarefree():
-                raise InternalInvariantViolation(
-                    "separating candidate has a repeated eigenvalue; the ideal is not radical"
-                )
-            last = UniPoly.monomial(1)
-            for v in range(d):
-                if lam[v]:
-                    last = last - exprs[v] * lam[v]
-            expressions = tuple(exprs[j] for j in range(d)) + (last,)
-            return GenericElement(
-                coefficients=tuple(lam),
-                changes=tuple(changes),
-                eliminant=elim,
-                expressions=expressions,
-                basis=rgb,
-            )
-        if round_num == max_attempts:
             break
+        if len(changes) >= max_attempts:
+            raise AttemptsExhausted(
+                f"no separating combination found after {max_attempts} coordinate changes"
+            )
         v = min(missing)
         c = rng.randint(1, max_coeff)
         lam[v] += c
         changes.append((v, c))
-    raise AttemptsExhausted(
-        f"no separating combination found after {max_attempts} coordinate changes"
+    if not elim.is_squarefree():
+        raise InternalInvariantViolation(
+            "separating candidate has a repeated eigenvalue; the ideal is not radical"
+        )
+    last = UniPoly.monomial(1)
+    for v in range(d):
+        last = last - exprs[v] * lam[v]
+    return GenericElement(
+        coefficients=tuple(lam),
+        changes=tuple(changes),
+        eliminant=elim,
+        expressions=tuple(exprs[j] for j in range(d)) + (last % elim,),
+        basis=rgb,
     )

@@ -307,7 +307,7 @@ def cmd_express(args):
 def cmd_mingen(args):
     s = load_scheme(args.scheme)
     sets = minimal_generating_sets(s)
-    size = len(sets[0]) if sets else 0
+    size = len(sets[0])
     lines = [f"minimal size: {size}"]
     for cand in sets:
         lines.append("generating set: " + " ".join(str(v) for v in cand))

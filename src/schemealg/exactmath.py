@@ -126,8 +126,6 @@ class UniPoly:
         if isinstance(other, (int, Fraction)):
             return UniPoly(tuple(a * other for a in self._c))
         other = self._coerce(other)
-        if not self._c or not other._c:
-            return UniPoly()
         out = [0] * (len(self._c) + len(other._c) - 1)
         for i, a in enumerate(self._c):
             if a:
@@ -151,8 +149,6 @@ class UniPoly:
             raise ZeroPolynomial("division by the zero polynomial")
         rem = list(self._c)
         dq = len(rem) - len(other._c)
-        if dq < 0:
-            return UniPoly(), self
         quo = [0] * (dq + 1)
         lc = other._c[-1]
         for k in range(dq, -1, -1):
@@ -224,17 +220,12 @@ class UniPoly:
         """Monic product of the distinct irreducible factors of self."""
         if not self._c:
             raise ZeroPolynomial("zero polynomial has no squarefree part")
-        if self.degree == 0:
-            return UniPoly((1,))
-        g = self.gcd(self.derivative())
-        if g.degree == 0:
-            return self.monic()
-        return (self // g).monic()
+        return (self // self.gcd(self.derivative())).monic()
 
     def is_squarefree(self):
         if not self._c:
             raise ZeroPolynomial("zero polynomial")
-        return self.degree == 0 or self.gcd(self.derivative()).degree == 0
+        return self.gcd(self.derivative()).degree == 0
 
     def scale_argument(self, c):
         """Primitive integer polynomial whose roots are c times ours (c != 0)."""

@@ -109,7 +109,8 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     that is the relation mono + sum_t (tail_t / tail_mono) t, a border
     generator.  Membership in the staircase and each generator are fixed by
     the span alone, so the reduced basis does not depend on the echelon's
-    form."""
+    form.  Each generator leads with the monomial that left it, so they come
+    out in ascending leading-monomial order."""
     nv = target.nvars
     if len(mats) != nv:
         raise DimensionMismatch("need one multiplication matrix per variable")
@@ -123,12 +124,10 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     lead_terms = []
 
     heap = []
-    seen = set()
     parents = {}
 
     def push(m, parent):
-        if m not in seen:
-            seen.add(m)
+        if m not in parents:
             parents[m] = parent
             heapq.heappush(heap, (target.key(m), m))
 
@@ -163,7 +162,6 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
         raise InternalInvariantViolation(
             f"normal set has {len(staircase)} monomials; expected {dim}"
         )
-    generators.sort(key=lambda g: target.key(g.leading_monomial(target)))
     return ReducedGB(
         basis=PolyBasis(generators, target),
         normal_set=tuple(staircase),

@@ -214,11 +214,7 @@ class MPoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            out[m] = out.get(m, 0) + c
         return MPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -227,8 +223,6 @@ class MPoly:
         return MPoly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -236,27 +230,19 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MPoly.zero(self.nvars)
             return MPoly(self.nvars, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = ma.mul(mb)
-                v = out.get(m, 0) + ca * cb
-                if v == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
+                out[m] = out.get(m, 0) + ca * cb
         return MPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
     def term_mul(self, monomial, coeff):
         """self * (coeff * monomial)."""
-        if coeff == 0:
-            return MPoly.zero(self.nvars)
         return MPoly(self.nvars, {m.mul(monomial): c * coeff for m, c in self.terms.items()})
 
     def monic(self, order):

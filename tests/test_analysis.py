@@ -9,7 +9,12 @@ from math import gcd
 import pytest
 from conftest import gauss_period_hits, hamming, johnson, parse_poly
 
-from schemealg.errors import InternalInvariantViolation, NotExpressible, SearchTooLarge
+from schemealg.errors import (
+    AttemptsExhausted,
+    InternalInvariantViolation,
+    NotExpressible,
+    SearchTooLarge,
+)
 from schemealg.exactmath import RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
     CharacterTable,
@@ -32,7 +37,7 @@ from schemealg.scheme import (
     orbit_scheme,
     scheme_from_relations,
 )
-from schemealg.fglm import _SolveContext, fglm_convert, shape_forms
+from schemealg.fglm import _SolveContext, fglm_convert, fglm_from_matrices, shape_forms
 from schemealg.polyring import MonomialOrder
 from schemealg.structure_ideal import structure_basis
 
@@ -239,6 +244,12 @@ def test_trivial_scheme():
     rep = check_p_polynomial(s)
     assert rep.is_p_polynomial
     assert minimal_generating_sets(s) == ((),)
+    # the generic element runs the general loop: x_0 = y mod (y - 1) = 1
+    ge = find_generic_element(s)
+    assert ge.coefficients == (1,)
+    assert ge.changes == ()
+    assert ge.eliminant == UniPoly((-1, 1))
+    assert ge.expressions == (UniPoly.constant(1),)
 
 
 def test_variety_points_match_table_rows(hamming_scheme):
@@ -557,6 +568,28 @@ def test_generic_element_ex2(ex2_scheme):
 def test_generic_element_rejects_a_repeated_eigenvalue():
     with pytest.raises(InternalInvariantViolation, match="has a repeated eigenvalue"):
         find_generic_element(NILPOTENT)
+
+
+# with seed 0, orbit (32, 7) separates only after these coordinate changes
+ORBIT_32_7_CHANGES = ((1, 7), (2, 7), (1, 1), (4, 5))
+
+
+@pytest.mark.parametrize("max_attempts", range(5))
+def test_generic_element_spends_exactly_its_attempt_budget(monkeypatch, max_attempts):
+    # one conversion for the first candidate, then one per coordinate change
+    calls = []
+    monkeypatch.setattr(
+        "schemealg.analysis.fglm_from_matrices",
+        lambda *args: calls.append(args) or fglm_from_matrices(*args),
+    )
+    s = orbit_scheme(32, 7)
+    if max_attempts < len(ORBIT_32_7_CHANGES):
+        message = f"^no separating combination found after {max_attempts} coordinate changes$"
+        with pytest.raises(AttemptsExhausted, match=message):
+            find_generic_element(s, max_attempts=max_attempts)
+    else:
+        assert find_generic_element(s, max_attempts=max_attempts).changes == ORBIT_32_7_CHANGES
+    assert len(calls) == max_attempts + 1
 
 
 def test_generic_element_many_seeds_terminate(ex2_scheme):

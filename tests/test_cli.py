@@ -515,6 +515,18 @@ def test_arguments_at_their_bounds_are_accepted(argv, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_exit_4_when_the_attempt_budget_runs_out(tmp_path, capsys):
+    # orbit (25, 4) needs one coordinate change with the default seed
+    from schemealg import cli
+
+    path = tmp_path / "orbit.json"
+    path.write_text('{"type": "orbit", "m": 25, "r": 4}')
+    assert cli.main(["generator", str(path), "--max-attempts", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "analysis failed: no separating combination found after 0 coordinate changes\n"
+
+
 def test_exit_4_non_integral_multiplicities():
     doc = json.dumps(
         {

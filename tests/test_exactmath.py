@@ -157,6 +157,9 @@ class TestUniPoly:
         q, r = divmod(p, upoly(1, -6))
         assert r.is_zero()
         assert q == upoly(1, 3, 0)
+        # a dividend shorter than the divisor is its own remainder
+        assert divmod(upoly(2, -1), p) == (UniPoly(), upoly(2, -1))
+        assert divmod(upoly(Fraction(1, 3)), upoly(1, -6)) == (UniPoly(), upoly(Fraction(1, 3)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_divmod_property(self, seed):
@@ -182,9 +185,15 @@ class TestUniPoly:
         assert p.squarefree_part() == upoly(1, 1, -2)
         already = upoly(1, -3, -18, 0)
         assert already.squarefree_part() == already
+        assert upoly(-7).squarefree_part() == upoly(1)
+        assert upoly(Fraction(2, 3)).squarefree_part() == upoly(1)
+        assert upoly(-7).is_squarefree()
+        assert already.is_squarefree() and not p.is_squarefree()
 
     def test_zero_polynomial_guards(self):
         z = UniPoly()
+        p = upoly(1, -3, -18, 0)
+        assert p * z == z * p == z * z == z
         with pytest.raises(ZeroPolynomial):
             z.monic()
         with pytest.raises(ZeroPolynomial):

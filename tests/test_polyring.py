@@ -108,6 +108,18 @@ class TestMPoly:
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
             assert a - a == MPoly.zero(3)
+            assert a * MPoly.zero(3) == MPoly.zero(3) == MPoly.zero(3) * a
+            assert a - 3 == a + MPoly.constant(-3, 3)
+        # cancellation stores no zero coefficient
+        x = MPoly.variable(1, 3)
+        p = parse_poly("x1^2 - x1 - 2", 3)
+        m = Monomial((0, 1, 2))
+        for z in (x - x, p - p, p * 0, p * Fraction(0), p.term_mul(m, 0), p * MPoly.zero(3)):
+            assert z.terms == {}
+        # (x1 + 1)(x1 - 1) cancels its x1 terms
+        q = (x + 1) * (x - 1)
+        assert q.terms == {Monomial((0, 2, 0)): 1, Monomial((0, 0, 0)): -1}
+        assert 0 not in (x + p - x).terms.values()
 
     def test_evaluate(self):
         p = parse_poly("x1^2 - x1 - 2", 3)
