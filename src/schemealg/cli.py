@@ -116,7 +116,7 @@ def load_scheme(path: str) -> Scheme:
         raise ParseError(f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as e:  # undecodable, too deep, or too many digits
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("scheme description must be a JSON object")

@@ -3,8 +3,9 @@
 The quotient algebra of a structure ideal is finite-dimensional, so a target
 Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
-needed.  The dependencies are found by fraction-free integer elimination,
-the `exactmath._reduce_row` kernel that the mingen closure uses too.
+needed.  The walk keeps the new normal set, an order ideal, as one dict,
+and finds the dependencies by fraction-free integer elimination, the
+`exactmath._reduce_row` kernel that the mingen closure uses too.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
@@ -101,46 +102,40 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     m-th normal-set monomial).  The matrices must pairwise commute and the
     first normal-set monomial must be 1.
 
-    Monomials are visited in ascending target order.  Each one's vector, with
-    a unit slot appended for it and scaled to integers (the matrices may be
-    rational), is reduced by `_reduce_row` against an integer echelon whose
-    rows carry, past the head, their combination over the staircase.  An
-    independent vector joins the staircase; a dependent one leaves a tail
-    that is the relation mono + sum_t (tail_t / tail_mono) t, a border
-    generator.  Membership in the staircase and each generator are fixed by
-    the span alone, so the reduced basis does not depend on the echelon's
-    form.  Each generator leads with the monomial that left it, so they come
-    out in ascending leading-monomial order."""
+    The new normal set is an order ideal, and its one record is a dict from
+    staircase monomial to coordinate vector, filled in ascending target
+    order.  A popped monomial is on the border, and skipped, exactly when
+    some mono / x_u is not a key.  Each monomial is pushed once, by
+    mono / x_top (x_top its largest variable), and its vector is mats[top]
+    applied to that parent's; as the matrices commute, every parent gives
+    the same vector.  The vector, with a unit slot appended and scaled to
+    integers (the matrices may be rational), is reduced by `_reduce_row`
+    against an integer echelon whose rows carry, past the head, their
+    combination over the staircase.  An independent vector joins the
+    staircase; a dependent one leaves a tail that is the relation
+    mono + sum_t (tail_t / tail_mono) t, a border generator, led by mono, so
+    the generators come out in ascending leading-monomial order.  The
+    staircase and each generator are fixed by the span alone, so the basis
+    does not depend on the echelon's form."""
     nv = target.nvars
     if len(mats) != nv:
         raise DimensionMismatch("need one multiplication matrix per variable")
     dim = mats[0].nrows
     one = Monomial.one(nv)
 
-    staircase = []  # new normal set, in ascending target order (discovery order)
-    raw = {}  # staircase monomial -> its coordinate vector
+    staircase = {}  # monomial -> its coordinate vector, in ascending target order
     echelon = {}  # pivot -> integer row [head | tail]
     generators = []
-    lead_terms = []
-
-    heap = []
-    parents = {}
-
-    def push(m, parent):
-        if m not in parents:
-            parents[m] = parent
-            heapq.heappush(heap, (target.key(m), m))
-
-    push(one, None)
+    heap = [(target.key(one), one, None)]
     while heap:
-        _, mono = heapq.heappop(heap)
-        if any(lt.divides(mono) for lt in lead_terms):
+        _, mono, var = heapq.heappop(heap)
+        below = {u: mono[:u] + (e - 1,) + mono[u + 1 :] for u, e in enumerate(mono) if e}
+        if not all(b in staircase for b in below.values()):
             continue
-        if mono == one:
+        if var is None:
             vec = tuple(1 if i == 0 else 0 for i in range(dim))
         else:
-            pmono, var = parents[mono]
-            vec = mats[var].apply(raw[pmono])
+            vec = mats[var].apply(staircase[below[var]])
         # The row starts as den * [vec | e_slot], slot len(staircase) and den
         # the common denominator; every row stays sum_s tail[s] * [vec(s) | e_s]
         # over the staircase and the candidate.
@@ -149,15 +144,14 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
         w[dim + len(staircase)] = den
         row, pivot = _reduce_row(echelon, w, dim)
         if pivot is not None:
-            staircase.append(mono)
-            raw[mono] = vec
+            staircase[mono] = vec
             echelon[pivot] = row
-            for var in range(nv):
-                push(mono.mul(Monomial.variable(var, nv)), (mono, var))
+            for v in range(max(below, default=0), nv):
+                up = Monomial(mono[:v] + (mono[v] + 1,) + mono[v + 1 :])
+                heapq.heappush(heap, (target.key(up), up, v))
         else:
             # head 0: the tail is a relation, made monic by PolyBasis below
             generators.append(MPoly(nv, zip((*staircase, mono), row[dim:])))
-            lead_terms.append(mono)
     if len(staircase) != dim:
         raise InternalInvariantViolation(
             f"normal set has {len(staircase)} monomials; expected {dim}"

@@ -239,6 +239,16 @@ def test_exit_2_integer_over_the_digit_limit(tmp_path):
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
+def test_exit_2_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    from schemealg import cli
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
 def test_exit_2_usage_error(ex1_file):
     r = run_cli("no-such-command", ex1_file)
     assert r.returncode == 2
@@ -415,6 +425,75 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of `gb` text stdout: the degree basis (smallest None) and the lex
+# basis for every smallest class, the FGLM conversions that `ppoly`, `express`
+# and the lex ladder of `chartab` read, captured while FGLM still scanned its
+# leading terms for the border test.  Every class of (31, 5) gives a shape
+# basis, some classes of the cycles (24, 23) and (40, 39) do, and no class of
+# (25, 4) or (32, 7) does.
+GB_SHA256 = {
+    (24, 23, None): "1b47b331af2fcd0a6e564c8ae0cfd7b658d194ab5f6a601ff25552078933cc88",
+    (24, 23, 0): "b81889f9a0cba436d43c77eb2e907d23d53d1e6fa5dc5579e784ebd940bb0ca6",
+    (24, 23, 1): "eac7ae38be1a202cde662d2f4a30bf21d8ad7358c762531866c9c9cfa498ebc1",
+    (24, 23, 2): "9cfed5661cf5e3b8cfc8ab814cd216799dcc86ccf38956a51ee40d5506538888",
+    (24, 23, 3): "469ea53d10da6704a83631bdf4a2d12adf5077ba2a383b85ea8b5bf82202dbc4",
+    (24, 23, 4): "4b8bffa212b2f379364dddc5f5b060136f8550d7b4efdd04c46f23b254da0dcc",
+    (24, 23, 5): "1081a6277211b32a51ba6013b61c0e0ec079f600768283b4a6c3b8bbfc6be358",
+    (24, 23, 6): "f082a3f35f27eed0e0c14ceb788c1ec71dc7caafe12953e8e95ddf37758bb45f",
+    (24, 23, 7): "41c4df47a83a50df57d45b50c3adacff5d5ac08ac506a0241693ff535bd320a4",
+    (24, 23, 8): "a48a941ac0e9bd7ab1803384a5d52e00922944ee7d4b6808391220dcec4c2512",
+    (24, 23, 9): "7351500c0e6909264cd1374d5c91fb046e9ae3ddc4eaa2e49bd9238d471c8065",
+    (24, 23, 10): "89a6030a89927d69d7a3fbd3d7dc2f93ae80f371aee1b68b5b5e21290d81d747",
+    (24, 23, 11): "ae4cd2eae6d65bbe82518071a8754d6a48d046f3873cfa3becffbf06b12bc15c",
+    (24, 23, 12): "0291b6ef3e4fc5b956a72c147ae07144d712bd860fbe49a91ddb366d1bc9bfbb",
+    (25, 4, None): "56974bff0394be14b0d4c11deb30fe4818d5a3dacdae64117bf1e2699bbbc4b4",
+    (25, 4, 0): "4166081370b527c1e993cdfdc68288947eb0c857977a9cf28fdf1a396b9af175",
+    (25, 4, 1): "cefa25ae83c7f31edcf83409afdbc330fcadfbd5edc511265049a141176a5616",
+    (25, 4, 2): "ae3831435261b13996212cc90f820ab2f578874e1cc526d0556b739c26914a92",
+    (25, 4, 3): "27f502e3129276fcdf4bd302eb159f883d83a88f9da70b5d93dd22796540b4bf",
+    (25, 4, 4): "4e9ba6f7b263a83ee806d74e8c2cfac89854c2c1110d4f74732c6931d50d39db",
+    (31, 5, None): "6d8c68fb22521ab609d805a01e0d431b54eec5ecea78e161770680a9518a0b02",
+    (31, 5, 0): "270188c55e5e55419d78986d37e60efd2d0508e384c2639acc928ed954d24706",
+    (31, 5, 1): "a8fb21c32a5123be675113758be5519f518939f86b842bdb2af98db7df9d4308",
+    (31, 5, 2): "a1127604a2145b19afa98af3fbb474c9d2e318d57ab46e2e00894067a4fa1968",
+    (31, 5, 3): "faeff311eec0df18cb97ba00e656193052fd389663dfe84b2fd5fc2ba5a9bd63",
+    (31, 5, 4): "be7c7dade71281e472aa674c7f0b1bb3982ed1e2b815017d336c8cd6014707da",
+    (31, 5, 5): "422144c006356281dff45a67c0927c04eb523867b95c49801f8f48ec839658e2",
+    (32, 7, None): "95c96c078e221ecdb2e3585e76fd1c9910d74c320e1cf6927573cafcc8a7b85a",
+    (32, 7, 0): "94cc3769b170f303ed202388cb8bd220eea873fdb7389653e02112e822d977a7",
+    (32, 7, 1): "2a936b7ee2479f9d1a2ef8a339f5f8f93ff5b662e9c1f0f448dfee5e326c1425",
+    (32, 7, 2): "bd946e6309b8d803cf1300a982235c2b3106166592dad472815500809142dcca",
+    (32, 7, 3): "a0c8a01a20941a60782b51f22d164a3c8357b61b0711afe41aa9d9be346045e8",
+    (32, 7, 4): "bdf63be70f03b3fb37d1d8d718a9bd70092c3adafbadca48e362d7f4b7acf968",
+    (32, 7, 5): "f02898ce55169b2dee106e576d9a387ed570dab620d0573e5aa66f8fe0219ac9",
+    (32, 7, 6): "734902c88c13cb23c42d9f7986fcb0d99d4bd69dddf5dabb0e285eab7a9a7768",
+    (32, 7, 7): "f6dd76fa090bf157ad7cc1b609d167f1319bd2629c005ae5cd1d2a268f802fdc",
+    (32, 7, 8): "aa8b456de12802ff045b9cba8576a11e2609a8a9d6076f68a38d9cb7d65120f7",
+    (40, 39, None): "f62bae226e6499aab49b3b04519a2d1fa188243b799abf8463b8c6b174c4edfb",
+    (40, 39, 0): "6bb1d21168744bc9164c22d72d80c7a1d6af971b42ee1255bf455fbad804f556",
+    (40, 39, 1): "78243a4668b7db38dfc889ec4d51620eb278483ddf062b7d275cdac2a71469eb",
+    (40, 39, 2): "fbab23d77ed0427b6c92c0ca6c3aeee9208cdf5d25dedafd8c7af36b1f8b6920",
+    (40, 39, 3): "8f0ef635820211a5720d6a40f9a9558704acddafdb8eb6f0d49e83d935ab6bd8",
+    (40, 39, 4): "b11b2a130242e731fc2f7ecbce1b802a6aef9e560d4041f3c1f4a471a70a2078",
+    (40, 39, 5): "4cc15c509da918dd3f8fb60f9b9b7cc06c916e03c231bb80c76475eb43efc2db",
+    (40, 39, 6): "af0b535f0044434ec5dbe3d9cabb22fd21ac5c4d768c91173041ebe8900b1a17",
+    (40, 39, 7): "71281ac6657b8402f739c6d32578f706263ee228b5a4320cf89edd4c603db74e",
+    (40, 39, 8): "63b03a9f5ebfb2e47f49965fe4a124a535f35ac3bde334c6aa89cc95eac790d9",
+    (40, 39, 9): "cda11a8a1b2144e56a1bb166a7a17958baa414227191ae31d79307e451078d75",
+    (40, 39, 10): "2ff8ce5c39c579b499d81542719d5ed3db2e9ca530d65992f4fb85fd4275ecb5",
+    (40, 39, 11): "19f39f16de3fc345ee132185178a16b6754b5867e7a24298eb9a25ec78b98f84",
+    (40, 39, 12): "af1ecfce7595fe2c72806be10bad2e7fe350aa6905b2ce9d12c1fd7a9f30c53a",
+    (40, 39, 13): "fa0841a4c143f2c5b68a2cfa39a8b7806e8360f39e05f7f741bdf77a8237a901",
+    (40, 39, 14): "4f537375fd491faecd1cd5f0c07c3a98335e320a9081c0272f1af8f56c0ea5d3",
+    (40, 39, 15): "3b505628e9ee8391c74158833e3d8be084ec93ceb3996c37e4151e4a0ca84390",
+    (40, 39, 16): "669ab907bfb952536b71de10eddbe131c94a97b08d93ba6a1d29c4b91063ee1a",
+    (40, 39, 17): "12e18a1d7835bcbb3e92a6258f7b208022743a0c2942509dfb20df2a8ebfedf1",
+    (40, 39, 18): "746672f6169f5fdbe72e1f37b01602f193a2571b1f31c418a6d75f94caa9eaee",
+    (40, 39, 19): "6bb87431ed8913aa6d3b294a82bb3b2ee34af15f14570a49a1e43181ac4e7e78",
+    (40, 39, 20): "6db2abeaf2960e6f911d21ec2802d4e46fe5d991bb0cccc9302c44901778991a",
+}
+
+
 # sha256 of `mingen` stdout in both formats, captured when every candidate
 # still ran a block-lex FGLM conversion: (8, 3) needs two classes, (32, 7)
 # three, and the cycles (20, 19) and (40, 39) are generated by each class
@@ -431,12 +510,12 @@ MINGEN_SHA256 = {
 }
 
 
-def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys):
+def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys, *args):
     from schemealg import cli
 
     path = tmp_path / "scheme.json"
     path.write_text(json.dumps({"type": "orbit", "m": m, "r": r}))
-    assert cli.main([cmd, str(path), "--format", fmt]) == 0
+    assert cli.main([cmd, str(path), "--format", fmt, *args]) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -450,6 +529,13 @@ def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
 def test_ppoly_and_generator_reports_are_pinned(cmd, m, r, fmt, tmp_path, capsys):
     digest = _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys)
     assert digest == REPORT_SHA256[(cmd, m, r, fmt)]
+
+
+@pytest.mark.parametrize("m, r, smallest", list(GB_SHA256))
+def test_gb_reports_are_pinned(m, r, smallest, tmp_path, capsys):
+    order = [] if smallest is None else ["--order", "lex", "--smallest", str(smallest)]
+    digest = _orbit_stdout_sha256("gb", m, r, "text", tmp_path, capsys, *order)
+    assert digest == GB_SHA256[(m, r, smallest)]
 
 
 @pytest.mark.parametrize("cmd, m, r, fmt", sorted(MINGEN_SHA256))

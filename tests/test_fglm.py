@@ -243,20 +243,26 @@ def test_random_roundtrip_and_solve():
         assert len(lex.normal_set) == nv
 
 
+def _distinct_orbit_tensors(max_m):
+    """One orbit scheme per distinct tensor among coprime (m, r), 3 <= m <= max_m."""
+    tensors = {}
+    for m in range(3, max_m + 1):
+        for r in range(2, m):
+            if gcd(r, m) == 1:
+                s = orbit_scheme(m, r)
+                tensors.setdefault(s.tensor.p, s)
+    return list(tensors.values())
+
+
 def test_lex_bases_of_orbit_schemes_have_the_shape_lemma_form():
     # Every distinct orbit tensor with 3 <= m <= 28, every class as the
     # smallest lex variable: the facts `shape_forms`, `check_p_polynomial`,
     # `find_generic_element` and `solve_triangular` rely on instead of
     # checking them.
-    tensors = {}
-    for m in range(3, 29):
-        for r in range(2, m):
-            if gcd(r, m) == 1:
-                s = orbit_scheme(m, r)
-                tensors.setdefault(s.tensor.p, s)
+    tensors = _distinct_orbit_tensors(28)
     assert len(tensors) == 68
     conversions = 0
-    for s in tensors.values():
+    for s in tensors:
         sb = structure_basis(s)
         nv = sb.nvars
         for v in range(1, nv):
@@ -280,8 +286,11 @@ def test_lex_bases_of_orbit_schemes_have_the_shape_lemma_form():
 
 
 def _fraction_fglm(mats, target):
-    """The unit-pivot Fraction FGLM that `fglm_from_matrices` replaced, kept
-    as its reference: each echelon row is scaled to pivot 1 and carries its
+    """A reference FGLM, independent of `fglm_from_matrices` in both of its
+    parts.  The walk pushes every product of a staircase monomial, remembers
+    the first parent of each, and skips a popped monomial when a leading
+    term found so far divides it.  The elimination is unit-pivot Fraction
+    arithmetic: each echelon row is scaled to pivot 1 and carries its
     combination over the staircase as a dict.  Returns (basis, normal set)."""
     nv = target.nvars
     dim = mats[0].nrows
@@ -336,16 +345,12 @@ def test_fglm_from_matrices_matches_the_fraction_reference():
     # Distinct orbit tensors with m <= 18 under every lex_smallest order, the
     # degree order and a block order; one matrix set with the last class
     # replaced by an integer combination, as `_generic_element` builds it;
-    # and rational input, B_i scaled by 1/(i+1), whose vectors mix int,
-    # Fraction(x, 1) and proper fractions.
-    tensors = {}
-    for m in range(3, 19):
-        for r in range(2, m):
-            if gcd(r, m) == 1:
-                s = orbit_scheme(m, r)
-                tensors.setdefault(s.tensor.p, s)
+    # rational input, B_i scaled by 1/(i+1), whose vectors mix int,
+    # Fraction(x, 1) and proper fractions; and walks that pop many border
+    # monomials: (40, 39) with x1 smallest and in degree order, and every
+    # lex order of (25, 4) and (32, 7), which have no shape basis.
     cases = []
-    for s in tensors.values():
+    for s in _distinct_orbit_tensors(18):
         sb = structure_basis(s)
         nv = sb.nvars
         mats = [multiplication_matrix(sb, i) for i in range(nv)]
@@ -358,6 +363,47 @@ def test_fglm_from_matrices_matches_the_fraction_reference():
     mats = [multiplication_matrix(sb, i) for i in range(4)]
     mats[3] = mats[3] + mats[1].scale(3) + mats[2].scale(7)
     cases.append((mats, MonomialOrder.lex(tuple(range(sb.nvars)))))
+    for (m, r), orders in (
+        ((40, 39), lambda nv: [MonomialOrder.lex_smallest(nv, 1), MonomialOrder.degree(nv)]),
+        ((25, 4), lambda nv: [MonomialOrder.lex_smallest(nv, v) for v in range(nv)]),
+        ((32, 7), lambda nv: [MonomialOrder.lex_smallest(nv, v) for v in range(nv)]),
+    ):
+        sb = structure_basis(orbit_scheme(m, r))
+        mats = [multiplication_matrix(sb, i) for i in range(sb.nvars)]
+        cases += [(mats, order) for order in orders(sb.nvars)]
     for mats, order in cases:
         rgb = fglm_from_matrices(mats, order)
         assert (rgb.basis, rgb.normal_set) == _fraction_fglm(mats, order)
+
+
+def _below(mono):
+    """mono / x_u for every variable x_u that divides mono."""
+    return [mono[:u] + (e - 1,) + mono[u + 1 :] for u, e in enumerate(mono) if e]
+
+
+def test_normal_sets_are_order_ideals_bounded_by_the_leading_monomials(monkeypatch):
+    # Every lex_smallest order of the distinct orbit tensors with m <= 18:
+    # each normal set is closed under division, the generators lead with
+    # exactly its minimal outside monomials in ascending target order, and
+    # the walk pushes no monomial twice.
+    pushed = []
+    heappush = heapq.heappush
+
+    def recording_push(heap, entry):
+        pushed.append(entry[1])  # entries are (key, monomial, ...)
+        heappush(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", recording_push)
+    for s in _distinct_orbit_tensors(18):
+        sb = structure_basis(s)
+        nv = sb.nvars
+        for v in range(nv):
+            order = MonomialOrder.lex_smallest(nv, v)
+            pushed.clear()
+            rgb = fglm_convert(sb, order)
+            assert len(set(pushed)) == len(pushed)
+            normal = set(rgb.normal_set)
+            assert all(b in normal for mono in normal for b in _below(mono))
+            outside = {mono.mul(Monomial.variable(u, nv)) for mono in normal for u in range(nv)} - normal
+            minimal = sorted((o for o in outside if all(b in normal for b in _below(o))), key=order.key)
+            assert [g.leading_monomial(order) for g in rgb.basis] == minimal
