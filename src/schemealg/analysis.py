@@ -159,24 +159,22 @@ def _fractions(rows):
 def _multiplicity(order, valencies, row):
     """The multiplicity |X| / sum_i P[nu][i]^2 / k_i as a certified integer:
     the row is refined until the enclosure of that quotient holds exactly one
-    integer (exact on a rational row).  Raises InternalInvariantViolation as
-    soon as the enclosure holds none."""
+    integer (exact on a rational row).  The sum is at least P[nu][0]^2 / k_0 = 1,
+    as x_0 = 1 is certified.  Raises InternalInvariantViolation as soon as the
+    enclosure holds no integer."""
 
     def verdict(values):
         acc = None
         for c, k in zip(values, valencies):
             t = c.interval().power(2).scale(Fraction(1, k))
             acc = t if acc is None else acc.add(t)
-        try:
-            m_iv = acc.reciprocal().scale(order)
-        except ZeroDivisionError:
-            return None
+        m_iv = acc.reciprocal().scale(order)
         lo, hi = ceil(m_iv.lo), floor(m_iv.hi)
         if lo > hi:
             raise InternalInvariantViolation(
                 f"multiplicity in [{m_iv.lo}, {m_iv.hi}] is not an integer"
             )
-        return lo if lo == hi and lo > 0 else None
+        return lo if lo == hi else None
 
     return refine_until(row, verdict, "multiplicity")
 
@@ -282,7 +280,8 @@ def check_p_polynomial(s: Scheme) -> PPolyReport:
     For each candidate class i the structure basis is converted to pure lex
     with x_i smallest; the scheme is metric with respect to i exactly when
     every other class is a polynomial in class i with the degree sequence of
-    a distance ordering (one class at each degree 2..d).
+    a distance ordering (one class at each degree 2..d).  The eliminant is
+    squarefree by `structure_basis`, so only these degrees can fail.
     """
     d = s.d
     if d == 0:
@@ -298,9 +297,6 @@ def check_p_polynomial(s: Scheme) -> PPolyReport:
                 f"eliminant degree {elim.degree} < {d + 1}: "
                 f"not every class is a polynomial in class {i}"
             )
-            continue
-        if not elim.is_squarefree():
-            diagnostics[i] = "eliminant is not squarefree"
             continue
         degs = sorted(exprs[j].degree for j in range(1, nv) if j != i)
         if degs != list(range(2, d + 1)):
@@ -440,10 +436,10 @@ def _closure_size(columns, subset):
 class GenericElement:
     """An integer combination of the classes with d+1 distinct eigenvalues.
 
-    coefficients[v] is the weight of class v; eliminant is the (monic,
-    squarefree, degree d+1) minimal polynomial of the combination; and
-    expressions[j] recovers class j from an eigenvalue, so the whole variety
-    is parametrized by the eliminant's roots.
+    coefficients[v] is the weight of class v; eliminant is the monic degree
+    d+1 minimal polynomial of the combination, squarefree by `structure_basis`;
+    and expressions[j] recovers class j from an eigenvalue, so the whole
+    variety is parametrized by the eliminant's roots.
     """
 
     coefficients: tuple
@@ -493,10 +489,6 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
         c = rng.randint(1, max_coeff)
         lam[v] += c
         changes.append((v, c))
-    if not elim.is_squarefree():
-        raise InternalInvariantViolation(
-            "separating candidate has a repeated eigenvalue; the ideal is not radical"
-        )
     last = UniPoly.monomial(1)
     for v in range(d):
         last = last - exprs[v] * lam[v]

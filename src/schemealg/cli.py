@@ -152,13 +152,8 @@ def load_scheme(path: str) -> Scheme:
         if not ok:
             raise ParseError("'p' must be a triply nested list of integers")
         _check_classes(len(p) - 1, "tensor")
-        tensor = IntersectionTensor(
-            tuple(
-                tuple(tuple(_as_int(x, "intersection number") for x in row) for row in pi)
-                for pi in p
-            )
-        ).validate()
-        return Scheme(tensor=tensor, origin="tensor")
+        p = tuple(tuple(tuple(_as_int(x, "intersection number") for x in row) for row in pi) for pi in p)
+        return Scheme(tensor=IntersectionTensor(p), origin="tensor")
     raise ParseError(f"unknown scheme type {kind!r}")
 
 

@@ -809,11 +809,15 @@ class RealRoot:
     __hash__ = None  # equality is semantic; do not use as dict keys
 
     def decimal(self, digits=12):
-        """Deterministic decimal rendering to `digits` places."""
+        """Decimal rendering to `digits` places, correctly rounded: the interval
+        is halved until both ends round half up to the same q / 10^digits."""
         if self.is_rational:
             return format_decimal(self.value, digits)
-        r = self.refine(Fraction(1, 10 ** (digits + 2)))
-        return format_decimal(r.interval().midpoint(), digits)
+        scale = 10**digits
+        r = self.refine(Fraction(1, 100 * scale))
+        while (q := (2 * scale * r.low + 1) // 2) != (2 * scale * r.high + 1) // 2:
+            r = r.refine(r.width / 2)
+        return format_decimal(Fraction(q, scale), digits)
 
     def __repr__(self):
         if self.is_rational:

@@ -35,9 +35,12 @@ class RelationPartition:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """The numbers p_ij^k, indexed p[i][j][k], for classes 0..d."""
+    """The numbers p_ij^k, indexed p[i][j][k], for classes 0..d; `validate` runs on construction."""
 
     p: tuple
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def d(self):
@@ -55,7 +58,8 @@ class IntersectionTensor:
         return sum(self.valencies)
 
     def validate(self):
-        """Check the axioms a commutative symmetric scheme imposes on p_ij^k."""
+        """Check the linear axioms of a commutative symmetric scheme on p_ij^k
+        and return self; `structure_basis` certifies associativity."""
         n = len(self.p)
         if any(len(pi) != n or any(len(pij) != n for pij in pi) for pi in self.p):
             raise NotConstantIntersectionNumber("tensor is not cubical")
@@ -115,12 +119,8 @@ class Scheme:
         n = self.d + 1
         if sorted(perm) != list(range(n)) or perm[0] != 0:
             raise ValueError("relabeling must permute classes 1..d and fix 0")
-        p = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    p[perm[i]][perm[j]][perm[k]] = self.tensor.p[i][j][k]
-        tensor = IntersectionTensor(tuple(tuple(tuple(r) for r in pi) for pi in p)).validate()
+        inv, old = sorted(range(n), key=perm.__getitem__), self.tensor.p  # inv[new] = old
+        tensor = IntersectionTensor(tuple(tuple(tuple(old[a][b][c] for c in inv) for b in inv) for a in inv))
         part = None
         if self.partition is not None:
             part = RelationPartition(
@@ -181,8 +181,7 @@ def scheme_from_relations(labels):
     p = tuple(
         tuple(tuple(ref[k][i][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-    tensor = IntersectionTensor(p).validate()
-    return Scheme(tensor=tensor, partition=RelationPartition(rows), origin="relations")
+    return Scheme(tensor=IntersectionTensor(p), partition=RelationPartition(rows), origin="relations")
 
 
 def orbit_classes(m, r):
@@ -224,7 +223,7 @@ def orbit_scheme(m, r):
     for k, x in enumerate(reps):
         for z in range(m):
             p[orbit_of[(x - z) % m]][orbit_of[z]][k] += 1
-    tensor = IntersectionTensor(tuple(tuple(tuple(r) for r in pi) for pi in p)).validate()
+    tensor = IntersectionTensor(tuple(tuple(tuple(r) for r in pi) for pi in p))
     return Scheme(tensor=tensor, partition=RelationPartition(labels), origin=f"orbit(m={m}, r={r})")
 
 

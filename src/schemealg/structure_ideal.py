@@ -64,6 +64,12 @@ def structure_basis(s: Scheme) -> StructureBasis:
     pairs with x_0 - 1 are coprime), so a failure means the tensor is not
     associative, i.e. broken.  The failure names the S-polynomial's normal
     form, sum_k (right_k - left_k) x_k: each x_t x_l has one reducer.
+
+    Every lex or generic eliminant of a certified tensor is squarefree with
+    real roots: the validated p_ij^0 = delta_ij k_i, k_i >= 1, make <a, b> =
+    (x_0-coefficient of ab) positive definite, and commutativity with
+    associativity make every real combination of the B_i self-adjoint for it
+    (Bannai-Ito, Algebraic Combinatorics I, 2.2-2.3).
     """
     d = s.d
     p = s.tensor.p

@@ -1,8 +1,9 @@
 """Shared test helpers: a tiny polynomial-literal parser, the Gauss-period
-oracle for orbit schemes, Hamming and Johnson scheme builders, and scheme
-fixtures."""
+oracle for orbit schemes, the distinct orbit tensors, the two-class tensors,
+Hamming and Johnson scheme builders, and scheme fixtures."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,45 @@ def hamming(n, q):
     return scheme_from_relations(
         [[sum(a != b for a, b in zip(x, y)) for y in words] for x in words]
     )
+
+
+def distinct_orbit_tensors(max_m):
+    """One orbit scheme per distinct tensor among coprime (m, r), 3 <= m <= max_m."""
+    from schemealg.scheme import orbit_scheme
+
+    tensors = {}
+    for m in range(3, max_m + 1):
+        for r in range(2, m):
+            if math.gcd(r, m) == 1:
+                s = orbit_scheme(m, r)
+                tensors.setdefault(s.tensor.p, s)
+    return list(tensors.values())
+
+
+def two_class_tensors(max_k):
+    """Every d=2 tensor with valencies 1..max_k that passes the axioms:
+    p_11^1 and p_11^2 are free, the row sums fix the rest."""
+    from schemealg.errors import NotConstantIntersectionNumber
+    from schemealg.scheme import IntersectionTensor
+
+    out = []
+    for k1 in range(1, max_k + 1):
+        for k2 in range(1, max_k + 1):
+            for a1 in range(k1):
+                for a2 in range(k1 + 1):
+                    b1, b2 = k1 - 1 - a1, k1 - a2  # p_12^1, p_12^2
+                    p11, p12, p22 = (k1, a1, a2), (0, b1, b2), (k2, k2 - b1, k2 - 1 - b2)
+                    p = (
+                        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                        ((0, 1, 0), p11, p12),
+                        ((0, 0, 1), p12, p22),
+                    )
+                    try:
+                        IntersectionTensor(p)
+                    except NotConstantIntersectionNumber:
+                        continue
+                    out.append(p)
+    return out
 
 
 def johnson(n, k):

@@ -3,16 +3,20 @@ and generic elements."""
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import gauss_period_hits, hamming, johnson, parse_poly
+from conftest import distinct_orbit_tensors, gauss_period_hits, hamming, johnson, parse_poly, two_class_tensors
 
 from schemealg.errors import (
     AttemptsExhausted,
     InternalInvariantViolation,
+    NotCommutative,
+    NotConstantIntersectionNumber,
     NotExpressible,
+    SchemeAlgError,
     SearchTooLarge,
 )
 from schemealg.exactmath import RealRoot, UniPoly, real_roots
@@ -312,15 +316,90 @@ def test_p_polynomial_verdict_survives_relabeling(ex1_scheme, hamming_scheme):
     assert rep.distance_relabeling == (0, 3, 2, 1)
 
 
-# x1^2 = 0: a tensor that never went through validate, whose one class is
-# nilpotent, so every eliminant in x1 has a double root
-NILPOTENT = Scheme(IntersectionTensor((((1, 0), (0, 1)), ((0, 1), (0, 0)))))
+# ---------------------------------------------------------------------------
+# tensors that are not schemes, and eliminants of those that are
+# ---------------------------------------------------------------------------
+
+
+# x1^2 = 0: class 1 is nilpotent, with valency 0, eliminant x^2 and the
+# single eigenvalue 0, repeated
+NILPOTENT = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "p, error, message",
+    [
+        (NILPOTENT, NotConstantIntersectionNumber, r"invalid valencies \(1, 0\)"),
+        ((((1, 0), (0, 1)), ((0, 1), (2,))), NotConstantIntersectionNumber, "tensor is not cubical"),
+        ((((1, 0), (3, -1)), ((0, -1), (0, -1))), NotCommutative, r"p_01\^0 = 3 but p_10\^0 = 0"),
+    ],
+    ids=["nilpotent", "ragged", "noncommutative"],
+)
+def test_tensor_failing_the_axioms_is_rejected_at_construction(p, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        IntersectionTensor(p)
 
 
 def test_p_polynomial_reports_a_non_squarefree_eliminant():
-    rep = check_p_polynomial(NILPOTENT)
-    assert not rep.is_p_polynomial
-    assert rep.diagnostics == {1: "eliminant is not squarefree"}
+    # only a tensor that fails the axioms has a non-squarefree eliminant, and
+    # it is reported by the typed error of its construction
+    with pytest.raises(NotConstantIntersectionNumber, match=r"^invalid valencies \(1, 0\)$"):
+        check_p_polynomial(Scheme(IntersectionTensor(NILPOTENT)))
+
+
+def _random_tensor(rng):
+    """A tensor on n <= 4 classes with entries in -1..3: one in five ragged,
+    and half of the cubical ones with the class-0 slices of a scheme,
+    p_0j^k = p_j0^k = delta_jk, so that some pass the axioms."""
+    n = rng.randint(1, 4)
+    if rng.random() < 0.2:
+        return tuple(
+            tuple(tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 4)))
+            for _ in range(n)
+        )
+    p = [[[rng.randint(-1, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        for j in range(n):
+            for k in range(n):
+                p[0][j][k] = p[j][0][k] = int(j == k)
+    return tuple(tuple(map(tuple, pi)) for pi in p)
+
+
+def test_random_tensors_end_in_a_typed_error_or_a_result():
+    rng = random.Random(17)
+    analysed = 0
+    for _ in range(3000):
+        try:
+            s = Scheme(IntersectionTensor(_random_tensor(rng)))
+        except SchemeAlgError:
+            continue
+        analysed += s.d >= 1
+        for entry_point in (character_table, check_p_polynomial, minimal_generating_sets, find_generic_element):
+            try:
+                entry_point(s)
+            except SchemeAlgError:
+                pass
+    assert analysed >= 40
+
+
+def test_eliminants_of_schemes_are_squarefree_with_real_roots():
+    # the argument in the structure_basis docstring, which lets
+    # check_p_polynomial and the generic element skip a squarefree test
+    family = []
+    for p in two_class_tensors(8):
+        try:
+            family.append(structure_basis(Scheme(IntersectionTensor(p))))
+        except InternalInvariantViolation:
+            pass
+    assert len(family) == 92
+    for sb in family + [structure_basis(s) for s in distinct_orbit_tensors(24)]:
+        nv = sb.nvars
+        eliminants = [shape_forms(fglm_convert(sb, MonomialOrder.lex_smallest(nv, i)), i)[0] for i in range(1, nv)]
+        eliminants.append(find_generic_element(sb.scheme).eliminant)
+        for f in eliminants:
+            assert f.is_squarefree()
+            assert len(real_roots(f)) == f.degree
+        assert len(variety_points(sb)) == nv
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +645,10 @@ def test_generic_element_ex2(ex2_scheme):
 
 
 def test_generic_element_rejects_a_repeated_eigenvalue():
-    with pytest.raises(InternalInvariantViolation, match="has a repeated eigenvalue"):
-        find_generic_element(NILPOTENT)
+    # a separating candidate with a repeated eigenvalue needs a tensor that
+    # fails the axioms, and such a tensor is rejected at construction
+    with pytest.raises(NotConstantIntersectionNumber, match=r"^invalid valencies \(1, 0\)$"):
+        find_generic_element(Scheme(IntersectionTensor(NILPOTENT)))
 
 
 # with seed 0, orbit (32, 7) separates only after these coordinate changes

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -93,8 +94,6 @@ def test_chartab_irrational_json():
     entry = out["P"][1][1]
     assert entry["minpoly"] == ["-1", "1", "1"]  # x^2 + x - 1, ascending
     lo, hi = entry["interval"]
-    from fractions import Fraction
-
     assert Fraction(lo) < Fraction(hi)
 
 
@@ -104,6 +103,39 @@ def test_chartab_digits_control():
     assert r.returncode == 0
     assert "~0.6180" in r.stdout
     assert "~-1.6180" in r.stdout
+
+
+@pytest.mark.parametrize("m, r, digits", [(13, 12, 36), (27, 8, 30)])
+def test_chartab_digits_are_correctly_rounded(m, r, digits, tmp_path, capsys):
+    # Each P row is the Gauss periods of a character of Z_m, rounded half up
+    # by mpmath.  The midpoint of an interval that straddled a rounding
+    # boundary once printed ...578455 for the last entry of the second P row
+    # of (13, 12), and ...903332 for every 4.59626665871386821121435590333250...
+    # of (27, 8).
+    mpmath = pytest.importorskip("mpmath")
+    from schemealg import cli
+    from schemealg.exactmath import format_decimal
+    from schemealg.scheme import orbit_classes
+
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"type": "orbit", "m": m, "r": r}))
+    assert cli.main(["chartab", str(path), "--digits", str(digits)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = {
+        tuple(format_decimal(Fraction(t), digits) if t[0] != "~" else t[1:] for t in line.split())
+        for line in lines[lines.index("P:") + 1 : lines.index("Q:")]
+    }
+    orbit_of, reps = orbit_classes(m, r)
+    classes = [[x for x in range(m) if orbit_of[x] == i] for i in range(len(reps))]
+    with mpmath.workdps(digits + 30):
+
+        def rounded(a, c):
+            period = mpmath.fsum(mpmath.cos(2 * mpmath.pi * a * x / m) for x in c)
+            return format_decimal(Fraction(int(mpmath.floor(period * 10**digits + 0.5)), 10**digits), digits)
+
+        expected = {tuple(rounded(a, c) for c in classes) for a in range(m)}
+    assert len(printed) == len(reps)
+    assert printed == expected
 
 
 def test_ppoly_json(ex1_file):

@@ -457,6 +457,20 @@ class TestRealRoot:
         assert self.sqrt2().decimal(12) == "1.414213562373"
         assert RealRoot.rational(Fraction(-1, 3)).decimal(4) == "-0.3333"
 
+    @pytest.mark.parametrize("digits", [12, 40, 100])
+    def test_decimal_is_correctly_rounded(self, digits):
+        # the midpoint of an interval that straddles a rounding boundary can
+        # round the wrong way: sqrt(139) = ...2610804994... to 40 places
+        # once printed ...261081
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(digits + 30):
+            for a in range(2, 400):
+                if math.isqrt(a) ** 2 == a:
+                    continue
+                q = int(mpmath.floor(mpmath.sqrt(a) * mpmath.mpf(10) ** digits + mpmath.mpf(1) / 2))
+                expect = f"{q // 10**digits}.{q % 10**digits:0{digits}d}"
+                assert real_roots(upoly(1, 0, -a))[1].decimal(digits) == expect, a
+
     def test_ordering_mixed(self):
         vals = [self.sqrt2(), RealRoot.rational(0), self.sqrt2().scale(-1), RealRoot.rational(2)]
         svals = sorted(vals)

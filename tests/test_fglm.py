@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import parse_basis, parse_poly
+from conftest import distinct_orbit_tensors, parse_basis, parse_poly
 
 from schemealg.analysis import find_generic_element
 from schemealg.errors import InternalInvariantViolation, NotTriangularEnough
@@ -243,23 +243,12 @@ def test_random_roundtrip_and_solve():
         assert len(lex.normal_set) == nv
 
 
-def _distinct_orbit_tensors(max_m):
-    """One orbit scheme per distinct tensor among coprime (m, r), 3 <= m <= max_m."""
-    tensors = {}
-    for m in range(3, max_m + 1):
-        for r in range(2, m):
-            if gcd(r, m) == 1:
-                s = orbit_scheme(m, r)
-                tensors.setdefault(s.tensor.p, s)
-    return list(tensors.values())
-
-
 def test_lex_bases_of_orbit_schemes_have_the_shape_lemma_form():
     # Every distinct orbit tensor with 3 <= m <= 28, every class as the
     # smallest lex variable: the facts `shape_forms`, `check_p_polynomial`,
     # `find_generic_element` and `solve_triangular` rely on instead of
     # checking them.
-    tensors = _distinct_orbit_tensors(28)
+    tensors = distinct_orbit_tensors(28)
     assert len(tensors) == 68
     conversions = 0
     for s in tensors:
@@ -350,7 +339,7 @@ def test_fglm_from_matrices_matches_the_fraction_reference():
     # monomials: (40, 39) with x1 smallest and in degree order, and every
     # lex order of (25, 4) and (32, 7), which have no shape basis.
     cases = []
-    for s in _distinct_orbit_tensors(18):
+    for s in distinct_orbit_tensors(18):
         sb = structure_basis(s)
         nv = sb.nvars
         mats = [multiplication_matrix(sb, i) for i in range(nv)]
@@ -394,7 +383,7 @@ def test_normal_sets_are_order_ideals_bounded_by_the_leading_monomials(monkeypat
         heappush(heap, entry)
 
     monkeypatch.setattr(heapq, "heappush", recording_push)
-    for s in _distinct_orbit_tensors(18):
+    for s in distinct_orbit_tensors(18):
         sb = structure_basis(s)
         nv = sb.nvars
         for v in range(nv):

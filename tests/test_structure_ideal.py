@@ -4,7 +4,7 @@ idempotent equations, and radicality."""
 import random
 
 import pytest
-from conftest import parse_basis
+from conftest import parse_basis, two_class_tensors
 
 from schemealg.errors import InternalInvariantViolation, NotConstantIntersectionNumber
 from schemealg.exactmath import QMatrix
@@ -218,7 +218,7 @@ def test_failure_message_is_the_s_pair_normal_form():
         ((0, 1, 0), (6, 4, 5), (0, 1, 1)),
         ((0, 0, 1), (0, 1, 1), (2, 1, 0)),
     )
-    tensors = [tampered, CONSTANT_TERMS_ASSOCIATE, *_d2_tensors(), *_perturbed_orbit_tensors(7, 60)]
+    tensors = [tampered, CONSTANT_TERMS_ASSOCIATE, *two_class_tensors(4), *_perturbed_orbit_tensors(7, 60)]
     failing = 0
     for p in tensors:
         expected = _s_pair_message(p)
@@ -256,26 +256,6 @@ def _valid(p):
     return True
 
 
-def _d2_tensors():
-    """Every d=2 tensor with valencies 1..4 that passes validate(): p_11^1
-    and p_11^2 are free, the row sums fix the rest."""
-    out = []
-    for k1 in range(1, 5):
-        for k2 in range(1, 5):
-            for a1 in range(k1):
-                for a2 in range(k1 + 1):
-                    b1, b2 = k1 - 1 - a1, k1 - a2  # p_12^1, p_12^2
-                    p11, p12, p22 = (k1, a1, a2), (0, b1, b2), (k2, k2 - b1, k2 - 1 - b2)
-                    p = (
-                        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                        ((0, 1, 0), p11, p12),
-                        ((0, 0, 1), p12, p22),
-                    )
-                    if _valid(p):
-                        out.append(p)
-    return out
-
-
 def _perturbed_orbit_tensors(seed, tries=400):
     """Orbit-scheme tensors (d >= 3) with p_ab^k, p_cc^k raised by one and
     p_ac^k, p_bb^k lowered by one (and their symmetric counterparts), for
@@ -298,7 +278,7 @@ def _perturbed_orbit_tensors(seed, tries=400):
 
 
 def test_certificate_agrees_with_buchberger_on_all_small_d2_tensors():
-    tensors = _d2_tensors()
+    tensors = two_class_tensors(4)
     verdicts = [(_certificate_accepts(p), _buchberger_accepts(p)) for p in tensors]
     assert all(mine == oracle for mine, oracle in verdicts)
     assert len(tensors) == 90
