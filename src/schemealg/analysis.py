@@ -33,7 +33,7 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import UniPoly, _reduce_row, real_roots, refine_until
+from .exactmath import Interval, UniPoly, _reduce_row, real_roots, refine_until
 from .fglm import (
     ReducedGB,
     _algebraic_value,
@@ -136,10 +136,9 @@ class CharacterTable:
             done = True
             for mu in range(n):
                 for nu in range(n):
-                    acc = None
+                    acc = Interval.point(0)
                     for k in range(n):
-                        t = p[mu * n + k].mul(q[k * n + nu])
-                        acc = t if acc is None else acc.add(t)
+                        acc = acc.add(p[mu * n + k].mul(q[k * n + nu]))
                     if not acc.contains(v if mu == nu else 0):
                         return False
                     if acc.width >= ORTHOGONALITY_WIDTH:
@@ -164,10 +163,9 @@ def _multiplicity(order, valencies, row):
     enclosure holds no integer."""
 
     def verdict(values):
-        acc = None
+        acc = Interval.point(0)
         for c, k in zip(values, valencies):
-            t = c.interval().power(2).scale(Fraction(1, k))
-            acc = t if acc is None else acc.add(t)
+            acc = acc.add(c.interval().power(2).scale(Fraction(1, k)))
         m_iv = acc.reciprocal().scale(order)
         lo, hi = ceil(m_iv.lo), floor(m_iv.hi)
         if lo > hi:
@@ -185,19 +183,14 @@ def character_table(s: Scheme) -> CharacterTable:
     P's rows are the variety points in descending lexicographic order.  Q
     comes from the multiplicities, Q[i][nu] = m_nu * P[nu][i] / k_i, each
     m_nu certified to be a positive integer.  Raises
-    InternalInvariantViolation if the variety is deficient (fewer than d+1
-    real points), fails the eigenvalue cross-check, lacks the valency row, or
-    has a non-integral multiplicity.  Only the last can happen on a
+    InternalInvariantViolation if the variety points fail the eigenvalue
+    cross-check (which includes their count, d+1), lack the valency row, or
+    give a non-integral multiplicity.  Only the last can happen on a
     validated associative tensor (srg(5,3,1,3) gives m = 5/2); the others
     are internal invariants.
     """
     sb = structure_basis(s)
     pts = variety_points(sb)
-    n = sb.quotient_dimension
-    if len(pts) != n:
-        raise InternalInvariantViolation(
-            f"found {len(pts)} real points; a scheme of rank {n} must have {n}"
-        )
     if not moller_stetter_check(sb, pts):
         raise InternalInvariantViolation("variety points fail the eigenvalue cross-check")
     val = s.valencies
@@ -213,8 +206,8 @@ def character_table(s: Scheme) -> CharacterTable:
             f"multiplicities {mults} do not sum to the order {s.order}"
         )
     Q = tuple(
-        tuple(P[nu][i].scale(Fraction(mults[nu], val[i])) for nu in range(n))
-        for i in range(n)
+        tuple(row[i].scale(Fraction(m, k)) for row, m in zip(P, mults))
+        for i, k in enumerate(val)
     )
     if not _trace_sums_vanish(s.order, mults, P):
         raise InternalInvariantViolation("P and Q fail the orthogonality certificate")
@@ -239,10 +232,9 @@ def _trace_sums_vanish(order, mults, P):
     def verdict(values):
         done = True
         for k in range(n):
-            acc = None
+            acc = Interval.point(0)
             for nu in range(n):
-                t = values[nu * n + k].interval().scale(mults[nu])
-                acc = t if acc is None else acc.add(t)
+                acc = acc.add(values[nu * n + k].interval().scale(mults[nu]))
             if not acc.contains(order if k == 0 else 0):
                 return False
             if acc.width >= ORTHOGONALITY_WIDTH:

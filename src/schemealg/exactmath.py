@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from .errors import DimensionMismatch, InternalInvariantViolation, SingularMatrix, ZeroPolynomial
@@ -95,9 +96,6 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({list(self._c)!r})"
 
-    def coeff(self, k):
-        return self._c[k] if 0 <= k <= self.degree else 0
-
     def leading_coeff(self):
         if not self._c:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
@@ -107,17 +105,10 @@ class UniPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self._c), len(other._c))
-        return UniPoly(
-            tuple(self.coeff(k) + other.coeff(k) for k in range(n))
-        )
+        return UniPoly(a + b for a, b in zip_longest(self._c, other._c, fillvalue=0))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self._c), len(other._c))
-        return UniPoly(
-            tuple(self.coeff(k) - other.coeff(k) for k in range(n))
-        )
+        return self + -self._coerce(other)
 
     def __neg__(self):
         return UniPoly(tuple(-a for a in self._c))
@@ -193,28 +184,18 @@ class UniPoly:
         """Integer-coefficient associate with content 1 and positive lead."""
         if not self._c:
             return self
-        den = 1
-        for a in self._c:
-            if isinstance(a, Fraction):
-                den = den * a.denominator // math.gcd(den, a.denominator)
-        ints = [int(a * den) for a in self._c]
-        g = 0
-        for a in ints:
-            g = math.gcd(g, a)
+        _, ints = _integers(self._c)
+        g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
         return UniPoly(tuple(a // g for a in ints))
 
     def gcd(self, other):
-        """Monic greatest common divisor (Euclid on primitive integer
-        polynomials, each remainder an integer pseudo-remainder)."""
-        a, b = self, self._coerce(other)
-        if not a._c:
-            return b.monic() if b._c else b
-        a, b = a.primitive(), b.primitive()
-        while b._c:
-            a, b = b, UniPoly(_pseudo_remainder(a._c, b._c)).primitive()
-        return a.monic()
+        """Monic greatest common divisor: the last nonzero member of
+        `_sturm_chain` of the primitive associates, made monic (0 if none)."""
+        chain = _sturm_chain(self.primitive(), self._coerce(other).primitive())
+        g = chain[-1] or chain[-2]
+        return g.monic() if g else g
 
     def squarefree_part(self):
         """Monic product of the distinct irreducible factors of self."""
@@ -320,11 +301,7 @@ class QMatrix:
         )
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        return QMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self + other.scale(-1)
 
     def scale(self, c):
         return QMatrix(tuple(tuple(a * c for a in r) for r in self.rows))
@@ -431,6 +408,14 @@ def _reduce_row(echelon, w, n):
     return tuple(w), None
 
 
+def _integers(xs):
+    """(den, ints): the least common denominator of the rationals xs and the
+    integers den * x, in order."""
+    xs = tuple(xs)
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # rational interval arithmetic (closed intervals, outward exact bounds)
 # ---------------------------------------------------------------------------
@@ -524,12 +509,12 @@ def _pseudo_remainder(a, b):
     return tuple(rem)
 
 
-def _sturm_chain(p):
-    """Sturm sequence of a squarefree primitive integer polynomial: each next
-    member is minus the pseudo-remainder of the last two, renormalized to a
-    primitive integer polynomial (positive scaling only, so sign variations
-    are preserved)."""
-    chain = [p, p.derivative()]
+def _sturm_chain(a, b):
+    """The one remainder sequence: a, b, then minus the pseudo-remainder of
+    the last two, made primitive by a positive scaling (so sign variations
+    are kept), until it is 0.  Its last nonzero member is an associate of
+    gcd(a, b), and _sturm_chain(p, p') is the Sturm sequence of a squarefree p."""
+    chain = [a, b]
     while chain[-1]._c:
         r = UniPoly(_pseudo_remainder(chain[-2]._c, chain[-1]._c))
         if not r._c:
@@ -581,6 +566,15 @@ def _count_roots(chain, lo, hi):
     return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 
+def _common_root_in(p, q, lo, hi):
+    """Whether p and q have a common root in (lo, hi): a Sturm count of 1 for
+    their gcd.  As when q is the witness of a root isolated in an interval
+    around (lo, hi), the gcd must be squarefree with at most one root there
+    and neither end a root."""
+    g = p.gcd(q).primitive()
+    return _count_roots(_sturm_chain(g, g.derivative()), lo, hi) == 1
+
+
 def _isolate(q):
     """Either ('rational', value) for the first rational root found, or
     ('intervals', [(lo, hi), ...]) isolating every (irrational) real root of q.
@@ -597,7 +591,7 @@ def _isolate(q):
     chain's sign variations at them, so a split evaluates the chain at its
     midpoint only.  Fractions are built only for the intervals returned.
     """
-    chain = _sturm_chain(q)
+    chain = _sturm_chain(q, q.derivative())
     bound = q.cauchy_root_bound()
     lc = abs(q.leading_coeff())
     top, den = bound.numerator, bound.denominator
@@ -714,9 +708,7 @@ class RealRoot:
         if self.is_rational or self.high - self.low < max_width:
             return self
         wn, wd = max_width.numerator, max_width.denominator
-        lo, hi = self.low, self.high
-        den = math.lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        den, (a, b) = _integers((self.low, self.high))
         n = self.poly.degree
         scaled = [c * den ** (n - k) for k, c in enumerate(self.poly._c)]
         s_low = _horner_sign(scaled, a)
@@ -734,11 +726,11 @@ class RealRoot:
 
     def is_root_of(self, p):
         """Whether p vanishes here: exact evaluation on a rational, else
-        whether gcd(p, witness) has its one root in the isolating interval."""
+        whether p and the witness have a common root in the isolating
+        interval (`_common_root_in`)."""
         if self.is_rational:
             return _sign_at(p, self.value) == 0
-        g = p.gcd(self.poly)
-        return g.degree >= 1 and _count_roots(_sturm_chain(g.primitive()), self.low, self.high) == 1
+        return _common_root_in(p, self.poly, self.low, self.high)
 
     def scale(self, c):
         """c * self for a nonzero rational c."""
@@ -753,7 +745,9 @@ class RealRoot:
     # -- comparisons --------------------------------------------------------
 
     def compare(self, other):
-        """Trichotomy: -1, 0, or 1.  Exact (refines as needed)."""
+        """Trichotomy: -1, 0, or 1, exact.  Two isolated roots are equal
+        exactly when their witnesses have a common root in the overlap of the
+        intervals (`_common_root_in`); distinct ones are halved until apart."""
         if not isinstance(other, RealRoot):
             other = RealRoot.rational(other)
         a, b = self, other
@@ -771,23 +765,13 @@ class RealRoot:
             if q <= a.low:
                 return 1
             return 1 if _sign_at(a.poly, q) == _sign_at(a.poly, a.low) else -1
-        # both isolated: decide equality via common roots of gcd in the overlap;
-        # the gcd's Sturm chain is built once, when the intervals first overlap
-        ra, rb = a, b
-        chain = None
-        while True:
-            if ra.high <= rb.low:
-                return -1
-            if rb.high <= ra.low:
-                return 1
-            if chain is None:
-                g = a.poly.gcd(b.poly)
-                chain = _sturm_chain(g.primitive()) if g.degree >= 1 else []
-            # the intervals overlap, so max(lows) < min(highs)
-            if chain and _count_roots(chain, max(ra.low, rb.low), min(ra.high, rb.high)) == 1:
-                return 0
+        lo, hi = max(a.low, b.low), min(a.high, b.high)
+        if lo < hi and _common_root_in(a.poly, b.poly, lo, hi):
+            return 0
+        while a.high > b.low and b.high > a.low:
             # refining to the current width halves each interval once
-            ra, rb = ra.refine(ra.width), rb.refine(rb.width)
+            a, b = a.refine(a.width), b.refine(b.width)
+        return -1 if a.high <= b.low else 1
 
     def __eq__(self, other):
         if not isinstance(other, (RealRoot, int, Fraction)):
@@ -809,15 +793,17 @@ class RealRoot:
     __hash__ = None  # equality is semantic; do not use as dict keys
 
     def decimal(self, digits=12):
-        """Decimal rendering to `digits` places, correctly rounded: the interval
-        is halved until both ends round half up to the same q / 10^digits."""
-        if self.is_rational:
-            return format_decimal(self.value, digits)
+        """Decimal rendering to `digits` places, correctly rounded, ties half
+        up (toward +infinity): the interval is halved until both ends round to
+        the same q / 10^digits (at once on a rational, whose ends are equal)."""
         scale = 10**digits
         r = self.refine(Fraction(1, 100 * scale))
-        while (q := (2 * scale * r.low + 1) // 2) != (2 * scale * r.high + 1) // 2:
+        while True:
+            iv = r.interval()
+            q = (2 * scale * iv.lo + 1) // 2
+            if q == (2 * scale * iv.hi + 1) // 2:
+                return format_decimal(Fraction(q, scale), digits)
             r = r.refine(r.width / 2)
-        return format_decimal(Fraction(q, scale), digits)
 
     def __repr__(self):
         if self.is_rational:

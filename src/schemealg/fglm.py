@@ -18,7 +18,6 @@ enclosures of the structure relations, read off the intersection tensor
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -26,6 +25,7 @@ from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangular
 from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
+    _integers,
     _reduce_row,
     real_roots,
     refine_until,
@@ -139,8 +139,8 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
         # The row starts as den * [vec | e_slot], slot len(staircase) and den
         # the common denominator; every row stays sum_s tail[s] * [vec(s) | e_s]
         # over the staircase and the candidate.
-        den = math.lcm(*(x.denominator for x in vec))
-        w = [x.numerator * (den // x.denominator) for x in vec] + [0] * (dim + 1)
+        den, w = _integers(vec)
+        w += [0] * (dim + 1)
         w[dim + len(staircase)] = den
         row, pivot = _reduce_row(echelon, w, dim)
         if pivot is not None:
@@ -289,11 +289,8 @@ def _relation_enclosures(p, box):
     the relation's enclosure, evaluated on the integer box D*box: the product
     (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each k (D x_0 = D
     carries the constant term)."""
-    den = math.lcm(*(x.denominator for iv in box for x in (iv.lo, iv.hi)))
-    scaled = [
-        Interval(iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
-        for iv in box
-    ]
+    den, ends = _integers(x for iv in box for x in (iv.lo, iv.hi))
+    scaled = [Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
     out = {}
     for i in range(1, len(p)):
         for j in range(i, len(p)):

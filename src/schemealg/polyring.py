@@ -160,13 +160,6 @@ class MPoly:
     def variable(cls, i, nvars):
         return cls(nvars, {Monomial.variable(i, nvars): 1})
 
-    @classmethod
-    def from_unipoly(cls, p, var, nvars):
-        return cls(
-            nvars,
-            {Monomial(tuple(k if j == var else 0 for j in range(nvars))): c for k, c in enumerate(p.coeffs)},
-        )
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self):

@@ -60,6 +60,10 @@ class IntersectionTensor:
     def validate(self):
         """Check the linear axioms of a commutative symmetric scheme on p_ij^k
         and return self; `structure_basis` certifies associativity."""
+        if not isinstance(self.p, tuple) or any(
+            not isinstance(pi, tuple) or any(not isinstance(pij, tuple) for pij in pi) for pi in self.p
+        ):
+            raise NotConstantIntersectionNumber("tensor is not a tuple of tuples of tuples")
         n = len(self.p)
         if any(len(pi) != n or any(len(pij) != n for pij in pi) for pi in self.p):
             raise NotConstantIntersectionNumber("tensor is not cubical")
@@ -67,7 +71,7 @@ class IntersectionTensor:
             for j in range(n):
                 for k in range(n):
                     v = self.p[i][j][k]
-                    if not isinstance(v, int) or v < 0:
+                    if type(v) is not int or v < 0:
                         raise NotConstantIntersectionNumber(
                             f"p_{i}{j}^{k} = {v!r} is not a nonnegative integer"
                         )
@@ -216,7 +220,9 @@ def orbit_scheme(m, r):
     """The scheme on Z_m whose classes are the orbits of <r, -1> acting by
     multiplication; class i of (x, y) is the orbit of x - y."""
     orbit_of, reps = orbit_classes(m, r)
-    labels = tuple(tuple(orbit_of[(x - y) % m] for y in range(m)) for x in range(m))
+    # Row x is orbit_of[(x - y) % m] over y, which is orbit_of[(y - x) % m]
+    # since -1 is in the group: orbit_of rotated right by x.
+    labels = tuple(tuple(orbit_of[-x:] + orbit_of[:-x]) for x in range(m))
     # Classes depend on x - y only, so count p_ij^k at the pair (reps[k], 0).
     n = len(reps)
     p = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -230,9 +236,7 @@ def orbit_scheme(m, r):
 def intersection_matrix(s, i):
     """The matrix of multiplication by class i on the basis (1, x_1..x_d):
     column m holds the coefficients of x_i * x_m, i.e. M[k][m] = p_im^k."""
-    n = s.d + 1
-    p = s.tensor.p
-    return QMatrix(tuple(tuple(p[i][m][k] for m in range(n)) for k in range(n)))
+    return QMatrix(zip(*s.tensor.p[i]))
 
 
 def intersection_matrices(s):

@@ -332,8 +332,13 @@ NILPOTENT = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
         (NILPOTENT, NotConstantIntersectionNumber, r"invalid valencies \(1, 0\)"),
         ((((1, 0), (0, 1)), ((0, 1), (2,))), NotConstantIntersectionNumber, "tensor is not cubical"),
         ((((1, 0), (3, -1)), ((0, -1), (0, -1))), NotCommutative, r"p_01\^0 = 3 but p_10\^0 = 0"),
+        # bool is an int subclass, and a tensor must be tuples of tuples of tuples
+        ((((True,),),), NotConstantIntersectionNumber, r"p_00\^0 = True is not a nonnegative integer"),
+        (5, NotConstantIntersectionNumber, "tensor is not a tuple of tuples of tuples"),
+        (((1,),), NotConstantIntersectionNumber, "tensor is not a tuple of tuples of tuples"),
+        ([[[1]]], NotConstantIntersectionNumber, "tensor is not a tuple of tuples of tuples"),
     ],
-    ids=["nilpotent", "ragged", "noncommutative"],
+    ids=["nilpotent", "ragged", "noncommutative", "bool", "int", "two-deep", "lists"],
 )
 def test_tensor_failing_the_axioms_is_rejected_at_construction(p, error, message):
     with pytest.raises(error, match=f"^{message}$"):

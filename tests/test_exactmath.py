@@ -179,6 +179,10 @@ class TestUniPoly:
         a = upoly(1, 1, -2)  # (x-1)(x+2)
         b = upoly(1, 4, -5)  # (x-1)(x+5)
         assert a.gcd(b) == upoly(1, -1)
+        zero = UniPoly()
+        assert zero.gcd(upoly(2, 8, -10)) == b and upoly(2, 8, -10).gcd(zero) == b
+        assert zero.gcd(zero) == zero
+        assert upoly(3, -3).gcd(a) == upoly(1, -1)  # deg a < deg b
 
     def test_squarefree_part(self):
         p = upoly(1, -1)* upoly(1, -1) * upoly(1, 2)  # (x-1)^2 (x+2)
@@ -457,6 +461,11 @@ class TestRealRoot:
         assert self.sqrt2().decimal(12) == "1.414213562373"
         assert RealRoot.rational(Fraction(-1, 3)).decimal(4) == "-0.3333"
 
+    def test_decimal_rounds_a_rational_tie_half_up(self):
+        # rationals take the same path as irrationals: ties toward +infinity
+        assert RealRoot.rational(Fraction(1, 8)).decimal(2) == "0.13"
+        assert RealRoot.rational(Fraction(-1, 8)).decimal(2) == "-0.12"
+
     @pytest.mark.parametrize("digits", [12, 40, 100])
     def test_decimal_is_correctly_rounded(self, digits):
         # the midpoint of an interval that straddles a rounding boundary can
@@ -496,6 +505,49 @@ class TestRealRoot:
         charpoly = upoly(1, 0, -2) * upoly(1, 0, -2) * upoly(1, 1)  # (x^2 - 2)^2 (x + 1)
         assert self.sqrt2().is_root_of(charpoly)
         assert RealRoot.rational(-1).is_root_of(charpoly)
+
+    def test_compare_counts_common_roots_in_the_overlap_only(self):
+        # sqrt 2 is a root of both witnesses and lies in the first interval,
+        # not in the overlap (3/2, 2), so the roots differ
+        sqrt2 = RealRoot.isolated(upoly(1, 0, -2), Fraction(1), Fraction(2))
+        sqrt3 = RealRoot.isolated(upoly(1, 0, -2) * upoly(1, 0, -3), Fraction(3, 2), Fraction(2))
+        assert sqrt2.compare(sqrt3) == -1 and sqrt3.compare(sqrt2) == 1
+
+    def test_compare_and_is_root_of_agree_with_sympy(self):
+        # witnesses w1, w2 share a quadratic factor, and every root keeps the
+        # first interval isolation gives it: each shared root appears under
+        # two witnesses and intervals, and distinct roots often overlap
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(18)
+
+        def quadratic():
+            while True:
+                a, b, c = rng.randint(1, 2), rng.randint(-5, 5), rng.randint(-5, 5)
+                disc = b * b - 4 * a * c
+                if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                    return upoly(a, b, c)
+
+        def roots(p):
+            # ours (coarse: no refinement below width 1) beside sympy's
+            ours = real_roots(p, precision=1)
+            truth = sympy.Poly(list(reversed(p.squarefree_part().coeffs)), x).real_roots()
+            assert len(ours) == len(truth)
+            return list(zip(ours, truth))
+
+        equal = overlapping = 0
+        for _ in range(30):
+            shared = quadratic()
+            w1, w2 = shared * quadratic(), shared * quadratic() * quadratic()
+            for ra, ta in roots(w1):
+                for rb, tb in roots(w2):
+                    truth = 0 if ta == tb else 1 if sympy.N(ta - tb, 50) > 0 else -1
+                    assert ra.compare(rb) == truth and rb.compare(ra) == -truth
+                    equal += truth == 0 and ra.poly != rb.poly
+                    overlapping += truth != 0 and max(ra.low, rb.low) < min(ra.high, rb.high)
+                for f in (shared, w2, quadratic()):
+                    assert ra.is_root_of(f) == (ta in {t for _, t in roots(f)})
+        assert equal >= 30 and overlapping >= 10, (equal, overlapping)
 
 
 class TestRefineUntil:

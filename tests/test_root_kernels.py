@@ -1,13 +1,15 @@
 """Property tests: the integer root kernels of `exactmath` against a small
 Fraction reference.
 
-`_sturm_chain` and `UniPoly.gcd` divide with integer pseudo-remainders, and
-`_isolate` and `RealRoot.refine` bisect with integer numerators over a common
-denominator.  The reference below does the same steps with `Fraction`
-remainders and `Fraction` midpoints, signs coming from `Fraction` evaluation.
-Both must return exactly the same chains, gcds and intervals, on squarefree
-integer polynomials with rational roots, close irrational pairs and leading
-coefficients up to 10^6.
+`_sturm_chain(a, b)` is the one remainder sequence, dividing with integer
+pseudo-remainders: _sturm_chain(p, p') is the Sturm sequence of p, and
+`UniPoly.gcd` is its last nonzero member made monic.  `_isolate` and
+`RealRoot.refine` bisect with integer numerators over a common denominator.
+The reference below does the same steps with `Fraction` remainders (its own
+Euclid loop for the gcd) and `Fraction` midpoints, signs coming from
+`Fraction` evaluation.  Both must return exactly the same chains, gcds and
+intervals, on squarefree integer polynomials with rational roots, close
+irrational pairs and leading coefficients up to 10^6.
 """
 
 import math
@@ -151,7 +153,7 @@ KERNEL_SETTINGS = settings(
 @example(UniPoly((1, 2, 0, 0, 1)))
 @example(UniPoly((4, -1, -1, 3, 0, 0, 1)))
 def test_sturm_chain_matches_the_fraction_reference(p):
-    assert [q.coeffs for q in _sturm_chain(p)] == [q.coeffs for q in _ref_sturm_chain(p)]
+    assert [q.coeffs for q in _sturm_chain(p, p.derivative())] == [q.coeffs for q in _ref_sturm_chain(p)]
 
 
 @KERNEL_SETTINGS

@@ -14,6 +14,8 @@ from schemealg.exactmath import QMatrix
 from schemealg.scheme import (
     IntersectionTensor,
     intersection_matrices,
+    intersection_matrix,
+    orbit_classes,
     orbit_scheme,
     scheme_from_relations,
 )
@@ -123,6 +125,13 @@ class TestOrbitScheme:
             ref = scheme_from_relations(s.partition.labels)
             assert s.tensor == ref.tensor, (m, r)
             assert s.partition == ref.partition, (m, r)
+            orbit_of = orbit_classes(m, r)[0]
+            labels = s.partition.labels
+            assert all(labels[x][y] == orbit_of[(x - y) % m] for x in range(m) for y in range(m)), (m, r)
+            p, n = s.tensor.p, s.d + 1
+            for i in range(n):
+                b = intersection_matrix(s, i)
+                assert all(b[k, c] == p[i][c][k] for k in range(n) for c in range(n)), (m, r, i)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_orbit_schemes_validate(self, seed):
