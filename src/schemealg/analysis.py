@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import ceil, comb, floor, prod
 
 from .errors import (
@@ -196,7 +197,7 @@ def character_table(s: Scheme) -> CharacterTable:
     val = s.valencies
     # |P[nu][i]| <= k_i (Perron-Frobenius: B_i is nonnegative with row sums
     # k_i) and the rows are distinct, so the valency row sorts first
-    ordered = tuple(sorted(pts, key=lambda pt: pt.coordinates, reverse=True))
+    ordered = tuple(sorted(pts, key=cmp_to_key(_compare_points), reverse=True))
     if not (ordered[0].is_rational() and ordered[0].rational_tuple() == tuple(val)):
         raise InternalInvariantViolation("valency point missing from the variety")
     P = tuple(pt.coordinates for pt in ordered)
@@ -212,6 +213,13 @@ def character_table(s: Scheme) -> CharacterTable:
     if not _trace_sums_vanish(s.order, mults, P):
         raise InternalInvariantViolation("P and Q fail the orthogonality certificate")
     return CharacterTable(scheme=s, points=ordered, P=P, Q=Q)
+
+
+def _compare_points(a, b):
+    """Lexicographic order of two points: the first nonzero `RealRoot.compare`
+    of their coordinates, skipping any the two share as one object (0 if none)."""
+    pairs = zip(a.coordinates, b.coordinates)
+    return next(filter(None, (x.compare(y) for x, y in pairs if x is not y)), 0)
 
 
 def _trace_sums_vanish(order, mults, P):
@@ -463,11 +471,8 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
     rng = random.Random(rng_seed)
     lam = [0] * d + [1]
     changes = []
+    eff_last = mats[d]
     while True:
-        eff_last = mats[d]
-        for v in range(d):
-            if lam[v]:
-                eff_last = eff_last + mats[v].scale(lam[v])
         rgb = fglm_from_matrices(mats[:d] + [eff_last], order)
         elim, exprs = shape_forms(rgb, d)
         missing = [j for j in range(d) if j not in exprs]
@@ -481,6 +486,7 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
         c = rng.randint(1, max_coeff)
         lam[v] += c
         changes.append((v, c))
+        eff_last = eff_last + mats[v].scale(c)
     last = UniPoly.monomial(1)
     for v in range(d):
         last = last - exprs[v] * lam[v]

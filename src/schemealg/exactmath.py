@@ -30,9 +30,11 @@ def _sign(x):
 
 
 def format_decimal(value, digits):
-    """Exact decimal rendering of a rational, rounded to `digits` places."""
-    v = Fraction(value)
-    q = round(v * 10**digits)  # nearest integer, ties to even; exact
+    """Exact decimal rendering of a rational, rounded to `digits` places,
+    ties half up (toward +infinity).  Raises ValueError when digits < 0."""
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
+    q = (2 * 10**digits * Fraction(value) + 1) // 2  # floor(v * 10^digits + 1/2)
     sign = "-" if q < 0 else ""
     q = abs(q)
     ip, fp = divmod(q, 10**digits)
@@ -643,14 +645,10 @@ def real_roots(p, precision=DEFAULT_PRECISION):
         else:
             roots.extend(RealRoot.isolated(q, lo, hi).refine(precision) for lo, hi in payload)
             break
-    roots.sort(key=_root_sort_key)
-    return roots
-
-
-def _root_sort_key(r):
     # Distinct roots coming out of one isolation run have disjoint intervals,
     # so midpoints order them correctly (rationals are points).
-    return r.interval().midpoint()
+    roots.sort(key=lambda r: r.interval().midpoint())
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +660,7 @@ class RealRoot:
     """A real algebraic number: an exact rational, or one isolated root of a
     squarefree integer polynomial.
 
+    A rational v is the point interval low = high = value = v, with no witness.
     Isolated form invariants: the witness polynomial has exactly one root in
     the open interval (low, high), neither endpoint is a root, and the root is
     irrational.  Instances are immutable; `refine` returns a new value.
@@ -677,7 +676,8 @@ class RealRoot:
 
     @classmethod
     def rational(cls, v):
-        return cls(value=_num(Fraction(v)))
+        v = _num(Fraction(v))
+        return cls(value=v, low=v, high=v)
 
     @classmethod
     def isolated(cls, poly, low, high):
@@ -688,13 +688,11 @@ class RealRoot:
         return self.value is not None
 
     def interval(self):
-        if self.is_rational:
-            return Interval.point(self.value)
         return Interval(self.low, self.high)
 
     @property
     def width(self):
-        return 0 if self.is_rational else self.high - self.low
+        return self.high - self.low
 
     def refine(self, max_width):
         """The root bisected at dyadic midpoints until its interval is
@@ -737,34 +735,22 @@ class RealRoot:
         c = Fraction(c)
         if self.is_rational:
             return RealRoot.rational(self.value * c)
-        lo, hi = self.low * c, self.high * c
-        if c < 0:
-            lo, hi = hi, lo
-        return RealRoot.isolated(self.poly.scale_argument(c), lo, hi)
+        iv = self.interval().scale(c)
+        return RealRoot.isolated(self.poly.scale_argument(c), iv.lo, iv.hi)
 
     # -- comparisons --------------------------------------------------------
 
     def compare(self, other):
-        """Trichotomy: -1, 0, or 1, exact.  Two isolated roots are equal
-        exactly when their witnesses have a common root in the overlap of the
-        intervals (`_common_root_in`); distinct ones are halved until apart."""
+        """Trichotomy: -1, 0, or 1, exact.  Two rationals compare by value.
+        Otherwise the values are equal exactly when the witnesses have a
+        common root in the open overlap of the intervals (`_common_root_in`),
+        and are halved until apart when not.  A rational is a point, which has
+        no open overlap and which `refine` keeps as it is."""
         if not isinstance(other, RealRoot):
             other = RealRoot.rational(other)
         a, b = self, other
         if a.is_rational and b.is_rational:
             return _sign(a.value - b.value)
-        if a.is_rational or b.is_rational:
-            if a.is_rational:
-                return -(b.compare(a))
-            # a isolated, b rational: the root is irrational so never equal,
-            # and inside the interval the witness has its sign at low exactly
-            # left of the root
-            q = b.value
-            if q >= a.high:
-                return -1
-            if q <= a.low:
-                return 1
-            return 1 if _sign_at(a.poly, q) == _sign_at(a.poly, a.low) else -1
         lo, hi = max(a.low, b.low), min(a.high, b.high)
         if lo < hi and _common_root_in(a.poly, b.poly, lo, hi):
             return 0
@@ -793,17 +779,13 @@ class RealRoot:
     __hash__ = None  # equality is semantic; do not use as dict keys
 
     def decimal(self, digits=12):
-        """Decimal rendering to `digits` places, correctly rounded, ties half
-        up (toward +infinity): the interval is halved until both ends round to
-        the same q / 10^digits (at once on a rational, whose ends are equal)."""
-        scale = 10**digits
-        r = self.refine(Fraction(1, 100 * scale))
-        while True:
-            iv = r.interval()
-            q = (2 * scale * iv.lo + 1) // 2
-            if q == (2 * scale * iv.hi + 1) // 2:
-                return format_decimal(Fraction(q, scale), digits)
-            r = r.refine(r.width / 2)
+        """Decimal rendering to `digits` places, correctly rounded by
+        `format_decimal`: the interval is narrowed until both ends give the
+        same text (at once on a rational, whose ends are equal)."""
+        r = self
+        while (text := format_decimal(r.low, digits)) != format_decimal(r.high, digits):
+            r = r.refine(min(r.width / 2, Fraction(1, 100 * 10**digits)))
+        return text
 
     def __repr__(self):
         if self.is_rational:

@@ -147,7 +147,7 @@ def scheme_from_relations(labels):
     for x in range(v):
         for y in range(v):
             lab = rows[x][y]
-            if not isinstance(lab, int) or lab < 0:
+            if type(lab) is not int or lab < 0:
                 raise NotAPartition(f"label {lab!r} at ({x},{y}) is not a nonnegative integer")
             if (lab == 0) != (x == y):
                 raise NotAPartition(
@@ -196,16 +196,13 @@ def orbit_classes(m, r):
         raise InvalidRadix("m and r must be integers")
     if r <= 1 or r >= m or math.gcd(r, m) != 1:
         raise InvalidRadix(f"need 1 < r < m with gcd(r, m) = 1; got m={m}, r={r}")
-    group = {1}
-    frontier = [1]
-    gens = (r, m - 1)
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            nxt = (h * g) % m
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
+    # <r, -1> = {+-r^a}.  The powers of the unit r return to 1, and at the first
+    # r^a already held, r maps {+-r^j : j < a} into itself: that is the group.
+    group = set()
+    h = 1
+    while h not in group:
+        group |= {h, m - h}
+        h = h * r % m
     orbit_of = [None] * m
     reps = []
     for x in range(m):  # ascending, so orbit indices sort by minimal representative

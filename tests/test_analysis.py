@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -29,6 +30,7 @@ from schemealg.analysis import (
     minimal_generating_sets,
     variety_points,
     _closure_size,
+    _compare_points,
     _generates,
     _points_from_generic,
     _sparse_columns,
@@ -202,6 +204,27 @@ def test_character_table_certifies_orthogonality_by_trace_sums(monkeypatch):
     monkeypatch.setattr(CharacterTable, "check_orthogonality", must_not_run)
     ct = character_table(orbit_scheme(13, 5))
     assert [q.value for q in ct.Q[0]] == [1, 4, 4, 4]
+
+
+@pytest.mark.parametrize("m, r", [(24, 23), (32, 7)])
+def test_rows_sort_with_one_compare_per_coordinate(m, r, monkeypatch):
+    # the tuple key calls __eq__ and then __lt__ on the first coordinate that
+    # differs, so it runs RealRoot.compare twice there; it skips coordinates
+    # that are one object, which the generic path of (32, 7) shares
+    pts = variety_points(structure_basis(orbit_scheme(m, r)))
+    compare, calls = RealRoot.compare, []
+
+    def counted(self, other):
+        calls.append(other)
+        return compare(self, other)
+
+    monkeypatch.setattr(RealRoot, "compare", counted)
+    by_tuple = sorted(pts, key=lambda pt: pt.coordinates, reverse=True)
+    tuple_calls = len(calls)
+    calls.clear()
+    by_first_difference = sorted(pts, key=cmp_to_key(_compare_points), reverse=True)
+    assert 0 < len(calls) < tuple_calls, (len(calls), tuple_calls)
+    assert all(a is b for a, b in zip(by_first_difference, by_tuple, strict=True))
 
 
 # Linear axioms hold and the tensor associates, but class 2 would be a perfect

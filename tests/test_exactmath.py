@@ -423,6 +423,31 @@ class TestRealRoot:
         assert minus.compare(Fraction(-3, 2)) == 1 and minus.compare(Fraction(-7, 5)) == -1
         assert RealRoot.rational(Fraction(3, 2)).compare(plus) == 1
 
+    def test_compare_with_a_rational_at_either_end_or_inside_in_both_orders(self):
+        # a rational is a point: the halving loop that separates two isolated
+        # roots decides it too, at an endpoint at once
+        x2m2 = upoly(1, 0, -2)
+        plus = RealRoot.isolated(x2m2, Fraction(1), Fraction(2))  # the witness rises
+        minus = RealRoot.isolated(x2m2, Fraction(-2), Fraction(-1))  # the witness falls
+        cases = [
+            (plus, 1, 1), (plus, 2, -1), (plus, Fraction(7, 5), 1), (plus, Fraction(3, 2), -1),
+            (minus, -2, 1), (minus, -1, -1), (minus, Fraction(-3, 2), 1), (minus, Fraction(-7, 5), -1),
+        ]
+        for root, q, sign in cases:
+            point = RealRoot.rational(q)
+            assert root.compare(point) == sign and point.compare(root) == -sign, (root, q)
+            assert root.compare(q) == sign
+            assert (root > point) == (sign > 0) and (point != root)
+
+    def test_a_rational_is_a_point_interval(self):
+        r = RealRoot.rational(Fraction(-7, 3))
+        assert r.value == r.low == r.high == Fraction(-7, 3)
+        iv = r.interval()
+        assert (iv.lo, iv.hi) == (Fraction(-7, 3), Fraction(-7, 3))
+        assert r.width == 0 and r.refine(Fraction(1, 10**6)) is r
+        two = RealRoot.rational(Fraction(6, 3))
+        assert type(two.value) is type(two.low) is type(two.high) is int and two.low == 2
+
     def test_equality_of_irrationals(self):
         a = real_roots(upoly(1, 0, -2))[1]
         b = real_roots(upoly(1, 0, -2) * upoly(1, 1, 1))[1]  # same root, bigger witness
@@ -626,3 +651,20 @@ def test_format_decimal():
     assert format_decimal(Fraction(1, 3), 5) == "0.33333"
     assert format_decimal(Fraction(-7, 2), 2) == "-3.50"
     assert format_decimal(7, 0) == "7"
+
+
+@pytest.mark.parametrize(
+    "value, digits, text",
+    [(Fraction(1, 8), 2, "0.13"), (Fraction(-1, 8), 2, "-0.12"), (Fraction(5, 2), 0, "3"), (Fraction(-5, 2), 0, "-2")],
+)
+def test_format_decimal_rounds_ties_half_up(value, digits, text):
+    # the one rounding rule: RealRoot.decimal renders through it
+    assert format_decimal(value, digits) == text
+    assert RealRoot.rational(value).decimal(digits) == text
+
+
+def test_negative_digits_raise_value_error():
+    sqrt2 = real_roots(upoly(1, 0, -2))[1]
+    for render in (lambda: format_decimal(1, -1), lambda: sqrt2.decimal(-1), lambda: RealRoot.rational(1).decimal(-2)):
+        with pytest.raises(ValueError, match="^digits must be nonnegative$"):
+            render()

@@ -44,6 +44,13 @@ class TestSchemeFromRelations:
         with pytest.raises(NotAPartition):
             scheme_from_relations([[0, 1], [1, 0], [0, 1]])
 
+    def test_bool_label_rejected(self):
+        # bool is a subclass of int, so only an exact type test rejects it
+        with pytest.raises(NotAPartition) as info:
+            scheme_from_relations([[0, True], [True, 0]])
+        assert type(info.value) is NotAPartition
+        assert str(info.value) == "label True at (0,1) is not a nonnegative integer"
+
     def test_diagonal_must_be_class_zero(self):
         with pytest.raises(NotAPartition):
             scheme_from_relations([[1, 0], [0, 1]])
