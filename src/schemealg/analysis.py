@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from math import ceil, comb, floor, prod
 
 from .errors import (
@@ -94,8 +94,7 @@ def _points_from_generic(ctx, ge):
 # ---------------------------------------------------------------------------
 
 
-# width below which check_orthogonality accepts an entry of P @ Q, and
-# _trace_sums_vanish a trace sum
+# width below which _certify_sums accepts an entry of P @ Q or a trace sum
 ORTHOGONALITY_WIDTH = Fraction(1, 10**20)
 
 
@@ -124,30 +123,15 @@ class CharacterTable:
         return _fractions(self.Q)
 
     def check_orthogonality(self) -> bool:
-        """Certify P @ Q = |X| * I by interval enclosures of every entry,
-        refined until each is narrower than ORTHOGONALITY_WIDTH (exact
-        when P and Q are rational); False the moment any enclosure excludes
-        its target."""
-        v = self.scheme.order
-        n = self.size
+        """Certify P @ Q = |X| * I entry by entry with `_certify_sums` (exact
+        when P and Q are rational)."""
+        v, n = self.scheme.order, self.size
 
-        def verdict(values):
-            ivs = [c.interval() for c in values]
-            p, q = ivs[: n * n], ivs[n * n :]
-            done = True
-            for mu in range(n):
-                for nu in range(n):
-                    acc = Interval.point(0)
-                    for k in range(n):
-                        acc = acc.add(p[mu * n + k].mul(q[k * n + nu]))
-                    if not acc.contains(v if mu == nu else 0):
-                        return False
-                    if acc.width >= ORTHOGONALITY_WIDTH:
-                        done = False
-            return True if done else None
+        def sums(ivs):  # the entries of P, then of Q: Q[k][nu] is ivs[(n + k) * n + nu]
+            for mu, nu in itertools.product(range(n), repeat=2):
+                yield _sum(ivs[mu * n + k].mul(ivs[(n + k) * n + nu]) for k in range(n)), v if mu == nu else 0
 
-        entries = [c for row in self.P for c in row] + [c for row in self.Q for c in row]
-        return refine_until(entries, verdict, "orthogonality")
+        return _certify_sums([c for row in self.P + self.Q for c in row], sums)
 
 
 def _fractions(rows):
@@ -164,9 +148,7 @@ def _multiplicity(order, valencies, row):
     enclosure holds no integer."""
 
     def verdict(values):
-        acc = Interval.point(0)
-        for c, k in zip(values, valencies):
-            acc = acc.add(c.interval().power(2).scale(Fraction(1, k)))
+        acc = _sum(c.interval().power(2).scale(Fraction(1, k)) for c, k in zip(values, valencies))
         m_iv = acc.reciprocal().scale(order)
         lo, hi = ceil(m_iv.lo), floor(m_iv.hi)
         if lo > hi:
@@ -202,10 +184,6 @@ def character_table(s: Scheme) -> CharacterTable:
         raise InternalInvariantViolation("valency point missing from the variety")
     P = tuple(pt.coordinates for pt in ordered)
     mults = [_multiplicity(s.order, val, row) for row in P]
-    if sum(mults) != s.order:
-        raise InternalInvariantViolation(
-            f"multiplicities {mults} do not sum to the order {s.order}"
-        )
     Q = tuple(
         tuple(row[i].scale(Fraction(m, k)) for row, m in zip(P, mults))
         for i, k in enumerate(val)
@@ -223,9 +201,8 @@ def _compare_points(a, b):
 
 
 def _trace_sums_vanish(order, mults, P):
-    """Certify T_k = sum_nu m_nu P[nu][k] = |X| delta_k0 for k = 0..d by
-    interval enclosures, refined until each is narrower than
-    ORTHOGONALITY_WIDTH; False the moment one excludes its target.
+    """Certify T_k = sum_nu m_nu P[nu][k] = |X| delta_k0 for k = 0..d with
+    `_certify_sums`.
 
     Inside `character_table` this is P @ Q = |X| I.  There
     Q[i][nu] = m_nu P[nu][i] / k_i, and every row is a variety point, so
@@ -234,22 +211,37 @@ def _trace_sums_vanish(order, mults, P):
     i, j exactly when T_k = |X| delta_k0, as p_ij^0 = k_i delta_ij
     (Bannai-Ito, Algebraic Combinatorics I, 2.3).  d+1 sums of d+1 products
     replace the (d+1)^3 products of `CharacterTable.check_orthogonality`.
+    P[nu][0] is the certified rational 1, so T_0 is the point sum_nu m_nu:
+    the k = 0 sum checks that the multiplicities add up to |X|.
     """
     n = len(P)
 
+    def sums(ivs):
+        for k in range(n):
+            yield _sum(ivs[nu * n + k].scale(m) for nu, m in enumerate(mults)), order if k == 0 else 0
+
+    return _certify_sums([c for row in P for c in row], sums)
+
+
+def _certify_sums(values, sums):
+    """Refine `values` (RealRoots) until the (enclosure, target) pairs that
+    sums(intervals of the values) yields decide: False as soon as an enclosure
+    excludes its target, True once all are narrower than ORTHOGONALITY_WIDTH."""
+
     def verdict(values):
         done = True
-        for k in range(n):
-            acc = Interval.point(0)
-            for nu in range(n):
-                acc = acc.add(values[nu * n + k].interval().scale(mults[nu]))
-            if not acc.contains(order if k == 0 else 0):
+        for acc, target in sums([c.interval() for c in values]):
+            if not acc.contains(target):
                 return False
-            if acc.width >= ORTHOGONALITY_WIDTH:
-                done = False
+            done = done and acc.width < ORTHOGONALITY_WIDTH
         return True if done else None
 
-    return refine_until([c for row in P for c in row], verdict, "orthogonality")
+    return refine_until(values, verdict, "orthogonality")
+
+
+def _sum(intervals):
+    """The interval sum of `intervals`, from the point 0."""
+    return reduce(Interval.add, intervals, Interval.point(0))
 
 
 # ---------------------------------------------------------------------------

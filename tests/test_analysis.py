@@ -3,6 +3,7 @@ and generic elements."""
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -17,6 +18,7 @@ from schemealg.errors import (
     NotCommutative,
     NotConstantIntersectionNumber,
     NotExpressible,
+    NotTriangularEnough,
     SchemeAlgError,
     SearchTooLarge,
 )
@@ -43,7 +45,7 @@ from schemealg.scheme import (
     orbit_scheme,
     scheme_from_relations,
 )
-from schemealg.fglm import _SolveContext, fglm_convert, fglm_from_matrices, shape_forms
+from schemealg.fglm import _SolveContext, fglm_convert, fglm_from_matrices, shape_forms, solve_triangular
 from schemealg.polyring import MonomialOrder
 from schemealg.structure_ideal import structure_basis
 
@@ -204,6 +206,32 @@ def test_character_table_certifies_orthogonality_by_trace_sums(monkeypatch):
     monkeypatch.setattr(CharacterTable, "check_orthogonality", must_not_run)
     ct = character_table(orbit_scheme(13, 5))
     assert [q.value for q in ct.Q[0]] == [1, 4, 4, 4]
+
+
+@pytest.mark.parametrize("m, r", [(13, 5), (10, 9), (25, 4)])
+def test_trace_sums_reject_multiplicities_with_the_wrong_total(m, r):
+    # P[nu][0] = 1, so T_0 is the point sum_nu m_nu: the k = 0 sum is the
+    # check that the multiplicities add up to |X|.  Doubled multiplicities
+    # keep T_k = 0 for k >= 1, so only that sum rejects them.
+    ct = character_table(orbit_scheme(m, r))
+    mults = [q.value for q in ct.Q[0]]
+    assert sum(mults) == ct.scheme.order
+    assert _trace_sums_vanish(ct.scheme.order, [mults[0] + 1, *mults[1:]], ct.P) is False
+    assert _trace_sums_vanish(ct.scheme.order, [2 * x for x in mults], ct.P) is False
+
+
+def test_character_table_rejects_multiplicities_with_the_wrong_total(monkeypatch):
+    from schemealg import analysis
+
+    multiplicity = analysis._multiplicity
+
+    def doubled(*args):
+        # they sum to 2|X|, and T_k = 0 for k >= 1 still
+        return 2 * multiplicity(*args)
+
+    monkeypatch.setattr(analysis, "_multiplicity", doubled)
+    with pytest.raises(InternalInvariantViolation, match="^P and Q fail the orthogonality certificate$"):
+        character_table(orbit_scheme(13, 5))
 
 
 @pytest.mark.parametrize("m, r", [(24, 23), (32, 7)])
@@ -631,6 +659,55 @@ def test_shape_forms_satisfy_the_structure_relations_modulo_the_eliminant():
                             rhs = rhs + q[k] * c
                     assert (q[a] * q[b]) % f == rhs % f, (p, a, b)
     assert separating == 43
+
+
+# ROADMAP item 4's two facts about the lex ladder of `variety_points`, on the
+# 53 distinct orbit tensors with m <= 24.  dim Q[B_i] is `_closure_size` of
+# {i}, the number of distinct eigenvalues of B_i.
+
+
+def test_a_separating_class_prints_what_the_generic_path_prints(tmp_path, capsys, monkeypatch):
+    # (b): with dim Q[B_i] = d+1 the lex basis is in shape position, and its
+    # points are the generic path's to the byte.  Tensors without such a
+    # class are left out: (52, 3) prints differently on the generic path.
+    from schemealg import analysis, cli
+
+    def chartab_json(s):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"type": "tensor", "p": s.tensor.p}))
+        assert cli.main(["chartab", str(path), "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    def not_triangular(*args, **kwargs):
+        raise NotTriangularEnough("forced onto the generic element")
+
+    schemes = distinct_orbit_tensors(24)
+    assert len(schemes) == 53
+    separating = [
+        s for s in schemes
+        if any(_closure_size(_sparse_columns(structure_basis(s)), (i,)) == s.d + 1 for i in range(1, s.d + 1))
+    ]
+    assert len(separating) == 43
+    lex = [chartab_json(s) for s in separating]
+    monkeypatch.setattr(analysis, "solve_triangular", not_triangular)
+    for s, text in zip(separating, lex):
+        assert chartab_json(s) == text, s.tensor.p
+
+
+def test_a_class_with_an_irrational_eigenvalue_that_does_not_separate_is_not_triangular():
+    # (a): stage 0 puts an irrational root on the stack, so every later stage
+    # needs a solved form; if all had one, Q[B_i] would be the whole algebra
+    pairs = 0
+    for s in distinct_orbit_tensors(24):
+        sb, nv = structure_basis(s), s.d + 1
+        columns = _sparse_columns(sb)
+        for i in range(1, nv):
+            irrational = any(not x.is_rational for x in real_roots(intersection_matrix(s, i).charpoly()))
+            if irrational and _closure_size(columns, (i,)) < nv:
+                pairs += 1
+                with pytest.raises(NotTriangularEnough):
+                    solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(nv, i)), sb)
+    assert pairs == 53
 
 
 # ---------------------------------------------------------------------------
