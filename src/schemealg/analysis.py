@@ -34,12 +34,14 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import Interval, UniPoly, _reduce_row, real_roots, refine_until
+from .exactmath import Interval, UniPoly, real_roots, refine_until
 from .fglm import (
     ReducedGB,
     _algebraic_value,
     _certify_point,
+    _krylov,
     _SolveContext,
+    _sparse_columns,
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
@@ -370,12 +372,6 @@ def minimal_generating_sets(s: Scheme):
     return (tuple(range(1, d + 1)),)
 
 
-def _sparse_columns(sb: StructureBasis):
-    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i,
-    which is the tensor's vector p[i][m]."""
-    return [[[(k, a) for k, a in enumerate(col) if a] for col in pi] for pi in sb.scheme.tensor.p]
-
-
 def _generates(columns, subset):
     """True iff the unital subalgebra Q[B_i : i in subset] has dimension d+1
     (see `_closure_size`); that is, iff every class is a polynomial in the
@@ -387,36 +383,19 @@ def _generates(columns, subset):
 def _closure_size(columns, subset):
     """The dimension of the unital subalgebra Q[B_i : i in subset].
 
-    `columns` is `_sparse_columns` of the structure basis.  Starting from
-    e_0, each round applies every B_i of the subset to the vectors the
-    previous round added, reduces the products against an integer echelon
-    keyed by pivot with `exactmath._reduce_row` (the fraction-free kernel
-    FGLM uses too) and keeps every nonzero remainder.  The span is then the
-    subalgebra applied to e_0, which is the subalgebra itself since e_0 is
-    the identity.  Returns d+1 as soon as the echelon holds d+1 vectors, and
-    the echelon's size when a round adds none.
+    `columns` is `fglm._sparse_columns` of the structure basis.  The
+    `fglm._krylov` walk from e_0 spans the subalgebra applied to e_0, which
+    is the subalgebra itself since e_0 is the identity; its size is 1 plus
+    the rows that found a pivot.  Returns d+1 as soon as it is reached.
     """
     n = len(columns[0])
-    e0 = (1,) + (0,) * (n - 1)
-    echelon = {0: e0}
-    new = [e0]
-    while new:
-        added = []
-        for u in new:
-            for i in subset:
-                w = [0] * n
-                for x, col in zip(u, columns[i]):
-                    if x:
-                        for k, a in col:
-                            w[k] += a * x
-                w, pivot = _reduce_row(echelon, w, n)
-                if pivot is not None:
-                    echelon[pivot] = w
-                    added.append(w)
-                    if len(echelon) == n:
-                        return n
-        new = added
-    return len(echelon)
+    size = 1
+    for _, pivot in _krylov(columns, subset, (1,) + (0,) * (n - 1)):
+        if pivot is not None:
+            size += 1
+            if size == n:
+                break
+    return size
 
 
 # ---------------------------------------------------------------------------

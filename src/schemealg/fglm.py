@@ -5,7 +5,9 @@ Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
 needed.  The walk keeps the new normal set, an order ideal, as one dict,
 and finds the dependencies by fraction-free integer elimination, the
-`exactmath._reduce_row` kernel that the mingen closure uses too.
+`exactmath._reduce_row` kernel that `_krylov`, the one closure walk of e_0
+under the multiplication matrices, uses too: it gives the minimal
+polynomials whose roots are the spectra, and the mingen closure.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
@@ -25,6 +27,8 @@ from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangular
 from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
+    UniPoly,
+    _integer_box,
     _integers,
     _reduce_row,
     real_roots,
@@ -168,19 +172,75 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
 # ---------------------------------------------------------------------------
 
 
+def _sparse_columns(sb: StructureBasis):
+    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i,
+    which is the tensor's vector p[i][m]."""
+    return [[[(k, a) for k, a in enumerate(col) if a] for col in pi] for pi in sb.scheme.tensor.p]
+
+
+def _krylov(columns, subset, start):
+    """The closure walk of the integer row `start` (its head e_0) under the
+    B_i, i in `subset`, read off `_sparse_columns`.
+
+    Each round applies every B_i of the subset to the head of each row the
+    previous round added, reduces the product against an integer echelon
+    keyed by pivot with `exactmath._reduce_row` (the fraction-free kernel
+    `fglm_from_matrices` uses too) and yields the reduced (row, pivot); a
+    row with a pivot joins the echelon and the next round.  Past the head a
+    row may carry a polynomial tail q (coefficients ascending) with head
+    q(B_i) e_0 for the one class i: the product's tail is x*q, and
+    `_reduce_row` keeps the two in step.  The walk ends when a round adds no
+    row; a consumer may stop it sooner."""
+    n = len(columns[0])
+    echelon = {0: start}
+    new = [start]
+    while new:
+        added = []
+        for u in new:
+            tail = u[n:]
+            for i in subset:
+                w = [0] * n
+                for x, col in zip(u, columns[i]):
+                    if x:
+                        for k, a in col:
+                            w[k] += a * x
+                if tail:
+                    w += (0, *tail[:-1])
+                w, pivot = _reduce_row(echelon, w, n)
+                yield w, pivot
+                if pivot is not None:
+                    echelon[pivot] = w
+                    added.append(w)
+        new = added
+
+
+def _minimal_polynomial(columns, i):
+    """The minimal polynomial of B_i, primitive: the first dependency among
+    e_0, B_i e_0, B_i^2 e_0, ..., the tail of the first `_krylov` row of the
+    class whose head reduces to 0.  g(B_i) e_0 = 0 is enough, as e_0 is the
+    identity and the B commute: g(B_i) e_j = B_j g(B_i) e_0 = 0.  B_i is
+    diagonalizable (see `structure_basis`), so this is the squarefree part of
+    its characteristic polynomial, with the same zero set."""
+    n = len(columns[0])
+    start = (1,) + (0,) * (n - 1) + (1,) + (0,) * n
+    row = next(w for w, pivot in _krylov(columns, (i,), start) if pivot is None)
+    return UniPoly(row[n:]).primitive()
+
+
 class _SolveContext:
-    """Caches the spectra (real roots of the charpolys of the multiplication
-    matrices) used to represent irrational coordinates, for one solve or for
+    """Caches the spectra (real roots of the minimal polynomials of the
+    multiplication matrices, which have the characteristic polynomials' zero
+    sets) used to represent irrational coordinates, for one solve or for
     every attempt of one `variety_points` call."""
 
     def __init__(self, sb):
         self.sb = sb
+        self._columns = _sparse_columns(sb)
         self._spectra = {}
 
     def spectrum(self, var):
         if var not in self._spectra:
-            cp = multiplication_matrix(self.sb, var).charpoly()
-            self._spectra[var] = tuple(real_roots(cp))
+            self._spectra[var] = tuple(real_roots(_minimal_polynomial(self._columns, var)))
         return self._spectra[var]
 
 
@@ -289,8 +349,7 @@ def _relation_enclosures(p, box):
     the relation's enclosure, evaluated on the integer box D*box: the product
     (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each k (D x_0 = D
     carries the constant term)."""
-    den, ends = _integers(x for iv in box for x in (iv.lo, iv.hi))
-    scaled = [Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
+    den, scaled = _integer_box(box)
     out = {}
     for i in range(1, len(p)):
         for j in range(i, len(p)):
@@ -303,14 +362,16 @@ def _relation_enclosures(p, box):
 
 
 def moller_stetter_check(sb: StructureBasis, points) -> bool:
-    """Eigenvalue consistency: the characteristic polynomial of every
-    multiplication matrix must vanish on the matching coordinate of every
-    point, and the point count must equal the quotient dimension."""
+    """Eigenvalue consistency: the minimal polynomial of every multiplication
+    matrix, with the same zero set as its characteristic polynomial, must
+    vanish on the matching coordinate of every point, and the point count
+    must equal the quotient dimension."""
     points = tuple(points)
     if len(points) != sb.quotient_dimension:
         return False
+    columns = _sparse_columns(sb)
     for i in range(sb.nvars):
-        cp = multiplication_matrix(sb, i).charpoly()
-        if not all(pt.coordinates[i].is_root_of(cp) for pt in points):
+        mp = _minimal_polynomial(columns, i)
+        if not all(pt.coordinates[i].is_root_of(mp) for pt in points):
             return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ZeroPolynomial
-from .exactmath import Interval, UniPoly, _num, _render_terms
+from .exactmath import Interval, UniPoly, _integer_box, _integers, _num, _render_terms
 
 
 class Monomial(tuple):
@@ -261,17 +261,25 @@ class MPoly:
 
     def evaluate_interval(self, intervals):
         """Enclosure of self over a box of Intervals (one per variable): the
-        sum over terms of c * prod(iv^e), with Interval's product and power."""
+        sum over terms of c * prod(iv^e), with Interval's product and power,
+        stepped in integers.  With the box D*box (`_integer_box`), the
+        coefficients C*c and t the top degree, the term of monomial m times
+        C*D^t is (C*c*D^(t - deg m)) * prod((D*iv)^e), so only the sum is
+        divided, by C*D^t; positive scalings keep every min and max."""
         if len(intervals) != self.nvars:
             raise DimensionMismatch("wrong number of values")
+        den, box = _integer_box(intervals)
+        cden, coeffs = _integers(self.terms.values())
+        top = max((m.degree for m in self.terms), default=0)
         acc = Interval.point(0)
-        for m, c in self.terms.items():
-            t = Interval.point(c)
-            for iv, e in zip(intervals, m):
+        for m, c in zip(self.terms, coeffs):
+            t = Interval.point(c * den ** (top - m.degree))
+            for iv, e in zip(box, m):
                 if e:
                     t = t.mul(iv.power(e))
             acc = acc.add(t)
-        return acc
+        q = cden * den**top
+        return Interval(Fraction(acc.lo, q), Fraction(acc.hi, q))
 
     def partial_eval(self, assignment):
         """Substitute exact rational values for some variables (dict var -> value);

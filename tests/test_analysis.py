@@ -45,7 +45,14 @@ from schemealg.scheme import (
     orbit_scheme,
     scheme_from_relations,
 )
-from schemealg.fglm import _SolveContext, fglm_convert, fglm_from_matrices, shape_forms, solve_triangular
+from schemealg.fglm import (
+    _minimal_polynomial,
+    _SolveContext,
+    fglm_convert,
+    fglm_from_matrices,
+    shape_forms,
+    solve_triangular,
+)
 from schemealg.polyring import MonomialOrder
 from schemealg.structure_ideal import structure_basis
 
@@ -548,6 +555,20 @@ def test_closure_size_of_one_class_counts_its_distinct_eigenvalues():
         for i in range(1, s.d + 1):
             eigenvalues = real_roots(intersection_matrix(s, i).charpoly())
             assert _closure_size(columns, (i,)) == len(eigenvalues), (s.tensor.p, i)
+
+
+def test_the_krylov_minimal_polynomial_is_the_squarefree_charpoly():
+    # the spectra and moller_stetter_check take roots of this polynomial in
+    # place of the charpoly: the same witness after real_roots' squarefree
+    # reduction, and the same zero set
+    schemes = distinct_orbit_tensors(24) + [hamming(4, 3), johnson(8, 3), _xor_scheme(3)]
+    assert len(schemes) == 56
+    for s in schemes:
+        columns = _sparse_columns(structure_basis(s))
+        for i in range(s.d + 1):
+            mp = _minimal_polynomial(columns, i)
+            assert mp == intersection_matrix(s, i).charpoly().squarefree_part().primitive(), (s.tensor.p, i)
+            assert mp.degree == _closure_size(columns, (i,)), (s.tensor.p, i)
 
 
 def _distinct_orbit_tensors(max_m, max_d):

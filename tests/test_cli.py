@@ -432,6 +432,15 @@ CHARTAB_JSON_SHA256 = {
 }
 
 
+# sha256 of `chartab --digits 100` text stdout, which refines every
+# irrational entry to 10^-102: (24, 23) refines its entries the furthest past
+# certification, and (32, 7) takes the generic path.
+CHARTAB_DIGITS_SHA256 = {
+    (24, 23): "ed8a0a08dce8d8468d374f89dbb2a92aac12f9449ac2d2e0e85b6cd2ecc178b0",
+    (32, 7): "4eb7c27a1e8d437324dae53890929f7cd3994a93e72ae70dd971dbe75fde59ae",
+}
+
+
 # sha256 of `ppoly` and `generator` stdout in both formats: the verdicts and
 # diagnostics read off each lex basis, and the generic element's eliminant and
 # expressions.  (13, 5) fails on the degree sequence, (25, 4) on the eliminant
@@ -555,6 +564,12 @@ def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys, *args):
 def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
     digest = _orbit_stdout_sha256("chartab", m, r, "json", tmp_path, capsys)
     assert digest == CHARTAB_JSON_SHA256[(m, r)]
+
+
+@pytest.mark.parametrize("m, r", sorted(CHARTAB_DIGITS_SHA256))
+def test_chartab_digits_100_reports_are_pinned(m, r, tmp_path, capsys):
+    digest = _orbit_stdout_sha256("chartab", m, r, "text", tmp_path, capsys, "--digits", "100")
+    assert digest == CHARTAB_DIGITS_SHA256[(m, r)]
 
 
 @pytest.mark.parametrize("cmd, m, r, fmt", sorted(REPORT_SHA256))

@@ -14,6 +14,8 @@ from schemealg.exactmath import RealRoot, UniPoly, real_roots
 from schemealg.fglm import (
     ReducedGB,
     VarietyPoint,
+    _certify_point,
+    _SolveContext,
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
@@ -219,6 +221,33 @@ def test_moller_stetter_rejects_wrong_count_and_values(ex1_scheme):
         coordinates=(RealRoot.rational(1), RealRoot.rational(5), RealRoot.rational(2))
     )
     assert not moller_stetter_check(sb, pts[:-1] + [fake])
+
+
+def test_moller_stetter_sees_values_not_which_point_holds_them():
+    # class by class, each coordinate must be a root of the class's minimal
+    # polynomial, the characteristic polynomial's zero set
+    def points(m, r):
+        sb = structure_basis(orbit_scheme(m, r))
+        return sb, list(solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, 1)), sb))
+
+    # two points of orbit (13, 5) that swap their x1: every coordinate is
+    # still an eigenvalue of its class, so the check passes, and the residual
+    # certificate rejects both points
+    sb, pts = points(13, 5)
+    a, b = pts[1].coordinates, pts[2].coordinates
+    swapped = [(a[0], b[1], *a[2:]), (b[0], a[1], *b[2:])]
+    assert not (a[1].is_rational or b[1].is_rational) and a[1] != b[1]
+    assert moller_stetter_check(sb, pts[:1] + [VarietyPoint(c) for c in swapped] + pts[3:])
+    for coords in swapped:
+        with pytest.raises(InternalInvariantViolation, match="certified nonzero"):
+            _certify_point(_SolveContext(sb), coords)
+    # an irrational x1 of the 8-cycle copied into x2, whose class has the
+    # eigenvalues 0 and +-2 only
+    sb, pts = points(8, 7)
+    k, x = next((k, pt.coordinates) for k, pt in enumerate(pts) if not pt.coordinates[1].is_rational)
+    fake = VarietyPoint((x[0], x[1], x[1], *x[3:]))
+    assert moller_stetter_check(sb, pts)
+    assert not moller_stetter_check(sb, pts[:k] + [fake] + pts[k + 1 :])
 
 
 def test_random_roundtrip_and_solve():

@@ -1,15 +1,21 @@
-"""Property tests: the integer root kernels of `exactmath` against a small
-Fraction reference.
+"""Property tests: the integer kernels of `exactmath` and `polyring` against
+a small Fraction reference.
 
 `_sturm_chain(a, b)` is the one remainder sequence, dividing with integer
 pseudo-remainders: _sturm_chain(p, p') is the Sturm sequence of p, and
-`UniPoly.gcd` is its last nonzero member made monic.  `_isolate` and
-`RealRoot.refine` bisect with integer numerators over a common denominator.
-The reference below does the same steps with `Fraction` remainders (its own
-Euclid loop for the gcd) and `Fraction` midpoints, signs coming from
-`Fraction` evaluation.  Both must return exactly the same chains, gcds and
-intervals, on squarefree integer polynomials with rational roots, close
-irrational pairs and leading coefficients up to 10^6.
+`UniPoly.gcd` is its last nonzero member made monic.  `_isolate` bisects
+with integer numerators over a common denominator, and `RealRoot.refine`
+reaches the cell that bisection on the same grid would end in, by integer
+Newton steps (`_newton_cell`) or by bisection.  `UniPoly.evaluate_interval`
+and `MPoly.evaluate_interval` step Horner's rule and the term products in
+integers over the box scaled by its common denominator.  The reference below
+does the same steps with `Fraction` remainders (its own Euclid loop for the
+gcd), `Fraction` midpoints and bisection only, signs coming from `Fraction`
+evaluation, and `Interval` arithmetic on the Fractions themselves.  Both
+must return exactly the same chains, gcds, intervals and enclosures, on
+squarefree integer polynomials with rational roots, close irrational pairs
+and leading coefficients up to 10^6, on the spectra of the orbit schemes,
+and on rational polynomials over point boxes and boxes that straddle 0.
 """
 
 import math
@@ -21,7 +27,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schemealg.exactmath import RealRoot, UniPoly, _isolate, _sturm_chain  # noqa: E402
+from conftest import distinct_orbit_tensors  # noqa: E402
+
+from schemealg.exactmath import Interval, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots  # noqa: E402
+from schemealg.fglm import _minimal_polynomial, _sparse_columns  # noqa: E402
+from schemealg.polyring import Monomial, MPoly  # noqa: E402
+from schemealg.structure_ideal import structure_basis  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # the Fraction reference
@@ -81,6 +92,24 @@ def _ref_isolate(q):
         stack.append((lo, mid))
         stack.append((mid, hi))
     return "intervals", sorted(found)
+
+
+def _ref_evaluate_interval(p, iv):
+    acc = Interval.point(0)
+    for a in reversed(p.coeffs):
+        acc = acc.mul(iv).add(Interval.point(a))
+    return acc
+
+
+def _ref_mpoly_evaluate_interval(f, intervals):
+    acc = Interval.point(0)
+    for m, c in f.terms.items():
+        t = Interval.point(c)
+        for iv, e in zip(intervals, m):
+            if e:
+                t = t.mul(iv.power(e))
+        acc = acc.add(t)
+    return acc
 
 
 def _ref_refine(q, lo, hi, width):
@@ -200,3 +229,74 @@ def test_refine_matches_the_fraction_reference(p, exponent):
             # refining further continues from the refined interval
             r2 = r.refine(w / 5)
             assert (r2.low, r2.high) == _ref_refine(q, r.low, r.high, w / 5)
+
+
+def test_refine_lands_on_the_bisection_cell_on_the_orbit_spectra():
+    # every irrational eigenvalue of the 53 distinct orbit tensors with
+    # m <= 24, from its isolating interval (the long refinements that
+    # real_roots makes) and from its spectrum value (already below 10^-30)
+    widths = (Fraction(1, 2**8), Fraction(1, 2**100), Fraction(1, 10**30))
+    schemes = distinct_orbit_tensors(24)
+    assert len(schemes) == 53
+    minpolys = set()
+    for s in schemes:
+        columns = _sparse_columns(structure_basis(s))
+        minpolys.update(_minimal_polynomial(columns, i) for i in range(1, s.d + 1))
+    roots = 0
+    for p in minpolys:
+        for value in real_roots(p):
+            if value.is_rational:
+                continue
+            kind, payload = _isolate(value.poly)
+            assert kind == "intervals"
+            (lo, hi), = [(a, b) for a, b in payload if a <= value.low and value.high <= b]
+            for w in widths:
+                for a, b in ((lo, hi), (value.low, value.high)):
+                    r = RealRoot.isolated(value.poly, a, b).refine(w)
+                    assert (r.low, r.high) == _ref_refine(value.poly, a, b, w)
+            roots += 1
+    assert (len(minpolys), roots) == (54, 154)
+
+
+_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6),
+    st.sampled_from((1, 2, 3, 7, 2**40, 10**12, 7 * 2**40)),
+)
+
+
+@st.composite
+def _intervals(draw):
+    kind = draw(st.sampled_from(("point", "straddle", "any")))
+    if kind == "point":
+        return Interval.point(draw(_rationals))
+    if kind == "straddle":  # even powers of it take the 0 branch of Interval.power
+        return Interval(-abs(draw(_rationals)), abs(draw(_rationals)))
+    return Interval(*sorted((draw(_rationals), draw(_rationals))))
+
+
+@KERNEL_SETTINGS
+@given(st.lists(_rationals | st.just(Fraction(0)), max_size=7), _intervals())
+def test_univariate_evaluate_interval_matches_the_fraction_reference(coeffs, iv):
+    # all-zero coefficient lists give the zero polynomial
+    p = UniPoly(coeffs)
+    got, want = p.evaluate_interval(iv), _ref_evaluate_interval(p, iv)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@KERNEL_SETTINGS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda nv: st.tuples(
+            st.just(nv),
+            # exponents 0..4, 0 included: a variable absent from a term
+            st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * nv), _rationals), max_size=6),
+            st.lists(_intervals(), min_size=nv, max_size=nv),
+        )
+    )
+)
+def test_multivariate_evaluate_interval_matches_the_fraction_reference(case):
+    nv, terms, box = case
+    f = MPoly(nv, [(Monomial(m), c) for m, c in terms])
+    got, want = f.evaluate_interval(box), _ref_mpoly_evaluate_interval(f, box)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
