@@ -65,7 +65,7 @@ MAX_RELATIONS_V = 256
 # d classes make a (d+1)^3 intersection tensor; its associativity certificate
 # takes O(d^4) integer steps if sparse, O(d^5) if dense (d = 52: 10 s, 2 vCPUs).
 MAX_CLASSES = 64
-# Rendering an irrational entry bisects it to 10^-(digits+2), so the cost of
+# Rendering an irrational entry refines it to 10^-(digits+2), so the cost of
 # a chartab report grows with the digits asked for.
 MAX_DIGITS = 100
 # The generic element draws its coefficients up to --max-coeff, and the

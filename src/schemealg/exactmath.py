@@ -31,10 +31,11 @@ def _sign(x):
 
 def format_decimal(value, digits):
     """Exact decimal rendering of a rational, rounded to `digits` places,
-    ties half up (toward +infinity).  Raises ValueError when digits < 0."""
+    ties half up (toward +infinity).  Raises ValueError when digits < 0, and
+    TypeError when value is not an int or a Fraction."""
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    q = (2 * 10**digits * Fraction(value) + 1) // 2  # floor(v * 10^digits + 1/2)
+    q = (2 * 10**digits * _num(value) + 1) // 2  # floor(v * 10^digits + 1/2)
     sign = "-" if q < 0 else ""
     q = abs(q)
     ip, fp = divmod(q, 10**digits)
@@ -570,58 +571,61 @@ def _horner(coeffs, x):
     return acc
 
 
-# Refinement by NEWTON_LEVEL or more bisections jumps to the cell by
-# `_newton_cell`.  On the isolating intervals of the orbit spectra (Python
-# 3.11, 2 vCPUs) the bisection loop was faster below level 5 and `_newton_cell`
-# from level 5 on, by 1.7-1.9x at level 16 and 2.5-2.8x at level 24.
-NEWTON_LEVEL = 5
+def _grid_cell(big, lo, hi, gap):
+    """The left end x of the cell [x, x + gap] of the grid lo + gap Z across
+    which the integer polynomial `big` changes sign, given a bracket [lo, hi]
+    of grid points at least two cells apart that holds its only root there,
+    an irrational one.
 
-
-def _newton_cell(scaled, a, gap, level, s_low):
-    """The numerator x of the level-`level` cell [x, x + gap] of the grid
-    anchored at a (over den 2^level) across which the witness changes sign,
-    or None.  `scaled` is the witness scaled to den, s_low its sign at a.
-
-    Integer Newton steps at the cell's scale S = den 2^level: with P the
-    witness scaled to S, x - P(x)/P'(x) is S times the Newton step from x/S.
-    They start at the midpoint of [a, a + gap] and keep a bracket [lo, hi]
-    of the root, narrowed by the sign of each P(x); a step that would leave
-    it is replaced by the bracket's midpoint.  They stop once a step is at
-    most a cell wide, which quadratic convergence reaches within about
-    2 log2(level) steps once a few halvings put x near the root.  The cell
-    that holds the result, or a neighbour, is accepted only if the signs at
-    its two ends differ, so a wrong guess costs time, never a wrong cell."""
-    n = len(scaled) - 1
-    big = [c << (level * (n - k)) for k, c in enumerate(scaled)]
-    slope = [k * c for k, c in enumerate(big)][1:]
-    lo = a << level
-    hi = lo + (gap << level)
-    start = lo
-    x = lo + (gap << (level - 1))
-    for _ in range(2 * level.bit_length() + 8):
-        value = _horner(big, x)
-        if _sign(value) == s_low:  # x is not the root: the root is irrational
+    Across more than 16 cells, integer Newton steps narrow the bracket
+    first.  They start at its midpoint, keep the bracket by the sign of each
+    iterate, replace a step that would leave it by its midpoint, and stop
+    once a step is at most a cell wide: within about 2 log2 log2 of the cell
+    count once a few halvings put x near the root.  The bracket is then
+    snapped outward to the grid, which keeps the signs at its ends, and the
+    cell of the last iterate is probed, then its neighbour on the root's
+    side, each clamped one cell inside the bracket.  Grid bisection of what
+    is left ends the walk.  Every probe keeps the sign change inside the
+    bracket, so a poor Newton guess costs steps, never a wrong cell.  Across
+    16 cells or fewer, bisection takes at most four evaluations, as many as
+    the shortest Newton walk (midpoint, slope, two probes), so it runs
+    alone."""
+    s_low = _sign(_horner(big, lo))
+    if hi - lo > 16 * gap:
+        slope = [k * c for k, c in enumerate(big)][1:]
+        start, x = lo, (lo + hi) // 2
+        for _ in range(2 * ((hi - lo) // gap).bit_length().bit_length() + 8):
+            value = _horner(big, x)
+            if _sign(value) == s_low:  # x is not the root: the root is irrational
+                lo = x
+            else:
+                hi = x
+            d = _horner(slope, x)
+            step = value // d if d else x - lo + 1  # P'(x) = 0: a step out of the bracket
+            if lo <= x - step <= hi:
+                x -= step
+            else:
+                step, x = hi - lo, (lo + hi) // 2
+            if abs(step) <= gap:
+                break
+        lo = start + (lo - start) // gap * gap
+        hi = start - (start - hi) // gap * gap
+        x = start + (x - start) // gap * gap
+        for _ in range(2):
+            if hi - lo <= gap:
+                break
+            x = min(max(x, lo + gap), hi - gap)
+            if _sign(_horner(big, x)) == s_low:
+                lo, x = x, x + gap
+            else:
+                hi, x = x, x - gap
+    while hi - lo > gap:
+        x = lo + (hi - lo) // (2 * gap) * gap
+        if _sign(_horner(big, x)) == s_low:
             lo = x
         else:
             hi = x
-        d = _horner(slope, x)
-        step = value // d if d else x - lo + 1  # P'(x) = 0: a step out of the bracket
-        if lo <= x - step <= hi:
-            x -= step
-        else:
-            step, x = hi - lo, (lo + hi) // 2
-        if abs(step) <= gap:
-            break
-    else:
-        return None
-    x = start + (x - start) // gap * gap
-    below = _sign(_horner(big, x)) == s_low  # x is left of the root
-    for _ in range(4):
-        y = x + gap if below else x - gap
-        if (_sign(_horner(big, y)) == s_low) != below:
-            return min(x, y)
-        x = y
-    return None
+    return lo
 
 
 def _variations(chain, a, b):
@@ -747,7 +751,7 @@ class RealRoot:
 
     @classmethod
     def rational(cls, v):
-        v = _num(Fraction(v))
+        v = _num(v)
         return cls(value=v, low=v, high=v)
 
     @classmethod
@@ -766,18 +770,16 @@ class RealRoot:
         return self.high - self.low
 
     def refine(self, max_width):
-        """The root bisected at dyadic midpoints until its interval is
-        narrower than max_width (self when it already is, or is rational).
+        """The root in the first cell of bisection at dyadic midpoints that
+        is narrower than max_width (self when it already is, or is rational).
 
         The endpoints are kept as integer numerators a, b over a common
-        denominator den, doubled at each split, which leaves b - a fixed: the
-        bisections walk the grid of cells of width (b - a)/(den 2^k) anchored
-        at a, and end at level N, the least one narrower than max_width, in
-        the one cell that holds the root.  From level NEWTON_LEVEL on,
-        `_newton_cell` jumps to that cell; the bisection loop runs only when
-        it finds none.  The witness is scaled to C_k = c_k den^(n-k), so the
-        sign of its value at x/den is the sign of the integer sum C_k x^k;
-        doubling den shifts each C_k left by n - k bits."""
+        denominator den, so the bisections walk the grid of cells of width
+        (b - a)/(den 2^k) anchored at a, and end at level N, the least one
+        narrower than max_width, in the one cell that holds the root.
+        `_grid_cell` walks to that cell at its scale S = den 2^N, from the
+        bracket [a 2^N, b 2^N] with cells b - a wide: the witness scaled to
+        C_k = c_k S^(n-k) has at x/S the sign of the integer sum C_k x^k."""
         if self.is_rational or self.high - self.low < max_width:
             return self
         den, (a, b) = _integers((self.low, self.high))
@@ -787,22 +789,10 @@ class RealRoot:
         while top >= bottom << level:
             level += 1
         n = self.poly.degree
-        scaled = [c * den ** (n - k) for k, c in enumerate(self.poly._c)]
-        s_low = _sign(_horner(scaled, a))
-        x = _newton_cell(scaled, a, gap, level, s_low) if level >= NEWTON_LEVEL else None
-        if x is not None:
-            a, b, den = x, x + gap, den << level
-        else:
-            for _ in range(level):
-                den *= 2
-                scaled = [c << (n - k) for k, c in enumerate(scaled)]
-                mid = a + b
-                # mid cannot be the root: the root is irrational
-                if s_low != _sign(_horner(scaled, mid)):
-                    a, b = 2 * a, mid
-                else:
-                    a, b = mid, 2 * b
-        return RealRoot.isolated(self.poly, Fraction(a, den), Fraction(b, den))
+        big = [c * den ** (n - k) << (level * (n - k)) for k, c in enumerate(self.poly._c)]
+        x = _grid_cell(big, a << level, b << level, gap)
+        den <<= level
+        return RealRoot.isolated(self.poly, Fraction(x, den), Fraction(x + gap, den))
 
     def is_root_of(self, p):
         """Whether p vanishes here: exact evaluation on a rational, else
@@ -814,7 +804,7 @@ class RealRoot:
 
     def scale(self, c):
         """c * self for a nonzero rational c."""
-        c = Fraction(c)
+        c = _num(c)
         if self.is_rational:
             return RealRoot.rational(self.value * c)
         iv = self.interval().scale(c)
@@ -886,29 +876,25 @@ REFINE_ROUNDS = 512
 def refine_until(values, verdict, layer):
     """Refine `values` (RealRoots) until `verdict` decides, and return its answer.
 
-    Each round asks verdict(values) first; None means "undecided", and every
-    value is then refined below the round's width (2^-8, a quarter of that
-    the next round, and so on).  Any other answer is returned; the verdict may
-    also raise.  The verdict must be a function of the values alone: it is
-    asked before the first round and then only after a round in which some
-    value changed (`refine` returns the value itself when it is already
-    narrower than the width, and a rational always), since asking it again
-    of the same values would give the same answer.  Rational values are
-    points, so an interval verdict on them is exact and decides at once.
+    The verdict is asked of the values as given; while it answers None
+    ("undecided"), the values are refined below the next of the widths
+    2^-8, 2^-10, 2^-12, ... and it is asked again, REFINE_ROUNDS times in
+    all at most.  Any other answer is returned; the verdict may also raise.
+    A width above every value's width is skipped but counts as a round:
+    `refine` would return every value as it is (one already narrower, and a
+    rational always), and the verdict, a function of the values alone,
+    would answer as before.  Rational values are points, so an interval
+    verdict on them is exact and decides at once.
     Raises InternalInvariantViolation naming `layer` once the rounds run out.
     """
     values = list(values)
-    width = Fraction(1, 2**8)
-    changed = True
-    for _ in range(REFINE_ROUNDS):
-        if changed:
-            answer = verdict(values)
-            if answer is not None:
-                return answer
-        refined = [v.refine(width) for v in values]
-        changed = any(r is not v for r, v in zip(refined, values))
-        values = refined
-        width /= 4
-    raise InternalInvariantViolation(
-        f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"
-    )
+    widths = (Fraction(1, 2 ** (8 + 2 * r)) for r in range(REFINE_ROUNDS - 1))
+    while (answer := verdict(values)) is None:
+        widest = max((v.width for v in values), default=0)
+        width = next((w for w in widths if w <= widest), None)
+        if width is None:
+            raise InternalInvariantViolation(
+                f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"
+            )
+        values = [v.refine(width) for v in values]
+    return answer

@@ -362,10 +362,12 @@ def _relation_enclosures(p, box):
 
 
 def moller_stetter_check(sb: StructureBasis, points) -> bool:
-    """Eigenvalue consistency: the minimal polynomial of every multiplication
-    matrix, with the same zero set as its characteristic polynomial, must
-    vanish on the matching coordinate of every point, and the point count
-    must equal the quotient dimension."""
+    """Eigenvalue consistency, class by class: the point count must equal the
+    quotient dimension, and coordinate i of every point must be a root of
+    the minimal polynomial of multiplication matrix i (the zero set of its
+    characteristic polynomial).  It does not check which point holds which
+    eigenvalue: points that swap one coordinate pass.  `_certify_point` ties
+    the coordinates of one point together."""
     points = tuple(points)
     if len(points) != sb.quotient_dimension:
         return False

@@ -619,6 +619,40 @@ class TestRefineUntil:
         assert r == sqrt2 and r.width < Fraction(1, 10**6)
         assert all(v[1] is seen[0][1] for v in seen)  # rationals are never refined
 
+    def test_rounds_above_every_width_call_no_refine(self, monkeypatch):
+        # sqrt(2) from real_roots is narrower than 10^-30: the rounds at
+        # 2^-8, 2^-10, ... down to its width cannot change it
+        sqrt2 = real_roots(upoly(1, 0, -2))[1]
+        assert sqrt2.width < Fraction(1, 10**30)
+        calls = []
+        refine = RealRoot.refine
+
+        def counted(self, max_width):
+            calls.append(max_width)
+            return refine(self, max_width)
+
+        monkeypatch.setattr(RealRoot, "refine", counted)
+        asked = []
+
+        def third(values):
+            asked.append(values[0])
+            return values[0] if len(asked) == 3 else None
+
+        r = refine_until([sqrt2], third, "layer")
+        # the first call is at the first round width at or below sqrt(2)'s,
+        # and each refined value is at least a quarter of its width wide, so
+        # every later round refines it
+        assert calls[0] <= sqrt2.width < 4 * calls[0]
+        assert calls == [calls[0], calls[0] / 4]
+        assert r is asked[2] and r.width < calls[1]
+
+    def test_undecided_verdict_on_rationals_is_asked_once(self):
+        # every width is 0, so no round can change a value
+        asked = []
+        with pytest.raises(InternalInvariantViolation, match="^rationals: no certificate after 512"):
+            refine_until([RealRoot.rational(1), RealRoot.rational(Fraction(-2, 3))], asked.append, "rationals")
+        assert len(asked) == 1
+
 
 class TestInterval:
     def test_mul_signs(self):
@@ -661,6 +695,22 @@ def test_format_decimal_rounds_ties_half_up(value, digits, text):
     # the one rounding rule: RealRoot.decimal renders through it
     assert format_decimal(value, digits) == text
     assert RealRoot.rational(value).decimal(digits) == text
+
+
+def test_floats_and_strings_are_not_exact_rationals():
+    # Fraction(0.1) would be the binary fraction 3602879701896397/2^55
+    sqrt2 = real_roots(upoly(1, 0, -2))[1]
+    for call in (
+        lambda: RealRoot.rational(0.1),
+        lambda: RealRoot.rational("1/10"),
+        lambda: sqrt2.scale(0.5),
+        lambda: RealRoot.rational(3).scale("2"),
+        lambda: format_decimal(0.1, 20),
+        lambda: format_decimal("0.1", 20),
+        lambda: sqrt2 < 1.5,
+    ):
+        with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
+            call()
 
 
 def test_negative_digits_raise_value_error():

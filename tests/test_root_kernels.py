@@ -5,17 +5,18 @@ a small Fraction reference.
 pseudo-remainders: _sturm_chain(p, p') is the Sturm sequence of p, and
 `UniPoly.gcd` is its last nonzero member made monic.  `_isolate` bisects
 with integer numerators over a common denominator, and `RealRoot.refine`
-reaches the cell that bisection on the same grid would end in, by integer
-Newton steps (`_newton_cell`) or by bisection.  `UniPoly.evaluate_interval`
-and `MPoly.evaluate_interval` step Horner's rule and the term products in
-integers over the box scaled by its common denominator.  The reference below
-does the same steps with `Fraction` remainders (its own Euclid loop for the
-gcd), `Fraction` midpoints and bisection only, signs coming from `Fraction`
-evaluation, and `Interval` arithmetic on the Fractions themselves.  Both
-must return exactly the same chains, gcds, intervals and enclosures, on
-squarefree integer polynomials with rational roots, close irrational pairs
-and leading coefficients up to 10^6, on the spectra of the orbit schemes,
-and on rational polynomials over point boxes and boxes that straddle 0.
+reaches the cell that bisection on the same grid would end in, by one walk
+(`_grid_cell`): integer Newton steps, probes and grid bisection.
+`UniPoly.evaluate_interval` and `MPoly.evaluate_interval` step Horner's rule
+and the term products in integers over the box scaled by its common
+denominator.  The reference below does the same steps with `Fraction`
+remainders (its own Euclid loop for the gcd), `Fraction` midpoints and
+bisection only, signs coming from `Fraction` evaluation, and `Interval`
+arithmetic on the Fractions themselves.  Both must return exactly the same
+chains, gcds, intervals and enclosures, on squarefree integer polynomials
+with rational roots, close irrational pairs and leading coefficients up to
+10^6, on the spectra of the orbit schemes, and on rational polynomials over
+point boxes and boxes that straddle 0.
 """
 
 import math
@@ -250,7 +251,10 @@ def test_refine_lands_on_the_bisection_cell_on_the_orbit_spectra():
             kind, payload = _isolate(value.poly)
             assert kind == "intervals"
             (lo, hi), = [(a, b) for a, b in payload if a <= value.low and value.high <= b]
-            for w in widths:
+            # widths that land at levels 1-6 from the isolating interval,
+            # across the switch from bisection alone to Newton steps
+            levels = tuple((hi - lo) * 3 / 2 ** (k + 1) for k in range(1, 7))
+            for w in widths + levels:
                 for a, b in ((lo, hi), (value.low, value.high)):
                     r = RealRoot.isolated(value.poly, a, b).refine(w)
                     assert (r.low, r.high) == _ref_refine(value.poly, a, b, w)
