@@ -223,7 +223,7 @@ class UniPoly:
 
     def scale_argument(self, c):
         """Primitive integer polynomial whose roots are c times ours (c != 0)."""
-        c = Fraction(c)
+        c = Fraction(_num(c))
         if c == 0:
             raise ZeroDivisionError("scale factor must be nonzero")
         return UniPoly(
@@ -638,42 +638,37 @@ def _variations(chain, a, b):
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _count_roots(chain, lo, hi):
-    """Distinct real roots in (lo, hi); endpoints must not be roots of chain[0]."""
-    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
-
-
 def _common_root_in(p, q, lo, hi):
-    """Whether p and q have a common root in (lo, hi): a Sturm count of 1 for
-    their gcd.  As when q is the witness of a root isolated in an interval
-    around (lo, hi), the gcd must be squarefree with at most one root there
-    and neither end a root."""
-    g = p.gcd(q).primitive()
-    return _count_roots(_sturm_chain(g, g.derivative()), lo, hi) == 1
+    """Whether p and q have a common root in (lo, hi), for q squarefree with
+    at most one root there and neither end a root, as when q is the witness
+    of a root isolated around (lo, hi).  Their gcd g divides q, so it has at
+    most one root there, a simple one, there exactly when g changes sign."""
+    g = _sturm_chain(p.primitive(), q.primitive())[-1]  # q is not 0
+    return _sign_at(g, lo) != _sign_at(g, hi)
 
 
-def _isolate(q):
-    """Either ('rational', value) for the first rational root found, or
-    ('intervals', [(lo, hi), ...]) isolating every (irrational) real root of q.
+def _isolate(q, chain):
+    """(rationals, intervals): every rational real root of q and the sorted
+    isolating intervals (lo, hi) of the others, from one walk.
 
-    q: squarefree primitive integer polynomial of degree >= 1.  Intervals are
-    split at their midpoints by Sturm count until each holds one root and is
-    narrower than 1/(L + 1), L = |lc|.  A rational root a/b has b | L, so L
-    times it is an integer in (L*lo, L*hi), an interval shorter than 1: one
-    sign test at the only candidate, (floor(L*lo) + 1)/L, decides whether the
-    root is rational.
+    q: squarefree primitive integer polynomial; chain: _sturm_chain(q, q').
+    Intervals are split at their midpoints by Sturm count until each holds
+    one root and is narrower than 1/(L + 1), L = |lc|.  A rational root a/b
+    has b | L, so L times it is an integer in (L*lo, L*hi), an interval
+    shorter than 1: one sign test at the only candidate, (floor(L*lo) + 1)/L,
+    decides whether the root is rational.  A midpoint c that is a root is
+    recorded and both halves kept: V(c-) = V(c) + 1 = V(c+) + 1.
 
     An interval is kept as integers (a, b, den, va, vb): the endpoints a/den
     and b/den over one common denominator, doubled at each split, and the
     chain's sign variations at them, so a split evaluates the chain at its
-    midpoint only.  Fractions are built only for the intervals returned.
+    midpoint only.  Fractions are built only for the roots returned.
     """
-    chain = _sturm_chain(q, q.derivative())
     bound = q.cauchy_root_bound()
     lc = abs(q.leading_coeff())
     top, den = bound.numerator, bound.denominator
     stack = [(-top, top, den, _variations(chain, -top, den), _variations(chain, top, den))]
-    found = []
+    rationals, intervals = [], []
     while stack:
         a, b, den, va, vb = stack.pop()
         n = va - vb
@@ -682,16 +677,18 @@ def _isolate(q):
         if n == 1 and (b - a) * (lc + 1) < den:
             c = lc * a // den + 1
             if c * den < lc * b and _sign_num(q._c, c, lc) == 0:
-                return "rational", Fraction(c, lc)
-            found.append((Fraction(a, den), Fraction(b, den)))
+                rationals.append(Fraction(c, lc))
+            else:
+                intervals.append((Fraction(a, den), Fraction(b, den)))
             continue
         mid, den = a + b, 2 * den
-        if _sign_num(q._c, mid, den) == 0:
-            return "rational", Fraction(mid, den)
         vm = _variations(chain, mid, den)
-        stack.append((2 * a, mid, den, va, vm))
+        at_root = _sign_num(q._c, mid, den) == 0
+        if at_root:
+            rationals.append(Fraction(mid, den))
+        stack.append((2 * a, mid, den, va, vm + at_root))
         stack.append((mid, 2 * b, den, vm, vb))
-    return "intervals", sorted(found)
+    return rationals, sorted(intervals)
 
 
 DEFAULT_PRECISION = Fraction(1, 10**30)
@@ -700,26 +697,27 @@ DEFAULT_PRECISION = Fraction(1, 10**30)
 def real_roots(p, precision=DEFAULT_PRECISION):
     """All real roots of p, sorted ascending.
 
-    p is reduced once to its primitive squarefree part.  Rational roots are
-    identified exactly (denominator-of-leading-coefficient test) and divided
-    out; the rest come back as isolating intervals, refined below
-    `precision`, around the squarefree witness polynomial that is left.
+    p is reduced to its primitive squarefree part q, which `_isolate` walks
+    once.  When irrational roots are left, the rational ones are divided out
+    and the witness left is walked once more, so that its isolating
+    intervals are cells of its own grid; they are refined below `precision`.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    q = p.squarefree_part().primitive()
-    roots = []
-    while q.degree >= 1:
-        kind, payload = _isolate(q)
-        if kind == "rational":
-            roots.append(RealRoot.rational(payload))
-            q = (q // UniPoly((-payload, 1))).primitive()
-        else:
-            roots.extend(RealRoot.isolated(q, lo, hi).refine(precision) for lo, hi in payload)
-            break
+    q = p.primitive()
+    chain = _sturm_chain(q, q.derivative())
+    if chain[-1].degree > 0:  # the gcd of q and q'
+        q = (q // chain[-1]).primitive()
+        chain = _sturm_chain(q, q.derivative())
+    rationals, intervals = _isolate(q, chain)
+    if rationals and intervals:
+        q //= math.prod(UniPoly((-r.numerator, r.denominator)) for r in rationals)  # primitive: Gauss
+        _, intervals = _isolate(q, _sturm_chain(q, q.derivative()))
+    roots = [RealRoot.rational(r) for r in rationals]
+    roots.extend(RealRoot.isolated(q, lo, hi).refine(precision) for lo, hi in intervals)
     # Distinct roots coming out of one isolation run have disjoint intervals,
     # so midpoints order them correctly (rationals are points).
     roots.sort(key=lambda r: r.interval().midpoint())
@@ -788,9 +786,11 @@ class RealRoot:
         level = max(top.bit_length() - bottom.bit_length(), 0)
         while top >= bottom << level:
             level += 1
-        n = self.poly.degree
-        big = [c * den ** (n - k) << (level * (n - k)) for k, c in enumerate(self.poly._c)]
-        x = _grid_cell(big, a << level, b << level, gap)
+        big, pw = [], 1
+        for j, c in enumerate(reversed(self.poly._c)):  # j = n - k
+            big.append(c * pw << level * j)
+            pw *= den
+        x = _grid_cell(big[::-1], a << level, b << level, gap)
         den <<= level
         return RealRoot.isolated(self.poly, Fraction(x, den), Fraction(x + gap, den))
 

@@ -705,6 +705,8 @@ def test_floats_and_strings_are_not_exact_rationals():
         lambda: RealRoot.rational("1/10"),
         lambda: sqrt2.scale(0.5),
         lambda: RealRoot.rational(3).scale("2"),
+        lambda: upoly(1, 0, -2).scale_argument(0.1),
+        lambda: upoly(1, 0, -2).scale_argument("1/10"),
         lambda: format_decimal(0.1, 20),
         lambda: format_decimal("0.1", 20),
         lambda: sqrt2 < 1.5,

@@ -40,7 +40,7 @@ def test_the_corpus_holds_every_distinct_scheme():
 
 
 @settings(
-    max_examples=36,
+    max_examples=75,
     derandomize=True,
     database=None,
     deadline=None,

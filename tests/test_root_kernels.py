@@ -4,19 +4,24 @@ a small Fraction reference.
 `_sturm_chain(a, b)` is the one remainder sequence, dividing with integer
 pseudo-remainders: _sturm_chain(p, p') is the Sturm sequence of p, and
 `UniPoly.gcd` is its last nonzero member made monic.  `_isolate` bisects
-with integer numerators over a common denominator, and `RealRoot.refine`
-reaches the cell that bisection on the same grid would end in, by one walk
-(`_grid_cell`): integer Newton steps, probes and grid bisection.
+with integer numerators over a common denominator and collects every
+rational root in one walk; `real_roots` divides them all out and walks the
+witness that is left once more.  `RealRoot.refine` reaches the cell that
+bisection on the same grid would end in, by one walk (`_grid_cell`):
+integer Newton steps, probes and grid bisection.  The common-root test of
+`RealRoot.is_root_of` and `RealRoot.compare` is a sign change of the gcd.
 `UniPoly.evaluate_interval` and `MPoly.evaluate_interval` step Horner's rule
 and the term products in integers over the box scaled by its common
 denominator.  The reference below does the same steps with `Fraction`
 remainders (its own Euclid loop for the gcd), `Fraction` midpoints and
-bisection only, signs coming from `Fraction` evaluation, and `Interval`
-arithmetic on the Fractions themselves.  Both must return exactly the same
-chains, gcds, intervals and enclosures, on squarefree integer polynomials
-with rational roots, close irrational pairs and leading coefficients up to
-10^6, on the spectra of the orbit schemes, and on rational polynomials over
-point boxes and boxes that straddle 0.
+bisection only, an isolation that starts again after each rational root,
+a Sturm count of the monic gcd as the common-root test, signs coming from
+`Fraction` evaluation, and `Interval` arithmetic on the Fractions
+themselves.  Both must return exactly the same chains, gcds, roots,
+verdicts and enclosures, on squarefree integer polynomials with rational
+roots, close irrational pairs and leading coefficients up to 10^6, on the
+spectra of the orbit schemes, and on rational polynomials over point boxes
+and boxes that straddle 0.
 """
 
 import math
@@ -30,7 +35,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import distinct_orbit_tensors  # noqa: E402
 
-from schemealg.exactmath import Interval, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots  # noqa: E402
+from schemealg.exactmath import (  # noqa: E402
+    DEFAULT_PRECISION,
+    Interval,
+    RealRoot,
+    UniPoly,
+    _isolate,
+    _sturm_chain,
+    real_roots,
+)
 from schemealg.fglm import _minimal_polynomial, _sparse_columns  # noqa: E402
 from schemealg.polyring import Monomial, MPoly  # noqa: E402
 from schemealg.structure_ideal import structure_basis  # noqa: E402
@@ -124,6 +137,42 @@ def _ref_refine(q, lo, hi, width):
     return lo, hi
 
 
+def _ref_real_roots(p):
+    # one rational root at a time is divided out and isolation starts again
+    q, roots = p, []
+    while q.degree >= 1:
+        kind, payload = _ref_isolate(q)
+        if kind != "rational":
+            for lo, hi in payload:
+                roots.append((None, *_ref_refine(q, lo, hi, DEFAULT_PRECISION), q.coeffs))
+            break
+        roots.append((payload, payload, payload, None))
+        q = (q // UniPoly((-payload, 1))).primitive()
+    return sorted(roots, key=lambda r: r[1] + r[2])
+
+
+def _ref_common_root_in(p, q, lo, hi):
+    # a Sturm count of 1 for the monic gcd
+    g = _ref_gcd(p, q)
+    chain = _ref_sturm_chain(g.primitive())
+    return _ref_variations(chain, lo) - _ref_variations(chain, hi) == 1
+
+
+def _ref_compare(x, y):
+    if x.is_rational and y.is_rational:
+        return (x.value > y.value) - (x.value < y.value)
+    lo, hi = max(x.low, y.low), min(x.high, y.high)
+    if lo < hi and _ref_common_root_in(x.poly, y.poly, lo, hi):
+        return 0
+    (a, b), (c, d) = (x.low, x.high), (y.low, y.high)
+    while b > c and d > a:  # halve each irrational interval until they are apart
+        if not x.is_rational:
+            a, b = _ref_refine(x.poly, a, b, b - a)
+        if not y.is_rational:
+            c, d = _ref_refine(y.poly, c, d, d - c)
+    return -1 if b <= c else 1
+
+
 # ---------------------------------------------------------------------------
 # squarefree integer polynomials
 # ---------------------------------------------------------------------------
@@ -197,15 +246,42 @@ def test_gcd_matches_the_fraction_reference(p, q, common):
 
 @settings(KERNEL_SETTINGS, max_examples=30)
 @given(squarefree_polys())
+@example(UniPoly((0, -2, 0, 1)))  # x^3 - 2x: 0 is the first midpoint
+# (x - 1)(x + 1)(2x - 1)(x^2 - 2): several rational roots, one of them dyadic
+@example(UniPoly((-1, 0, 1)) * UniPoly((-1, 2)) * UniPoly((-2, 0, 1)))
+# x(x - 1)(x + 1)(x - 2)(x + 2): every root rational, a witness of degree 0
+@example(UniPoly((0, 1)) * UniPoly((-1, 0, 1)) * UniPoly((-4, 0, 1)))
 def test_isolate_matches_the_fraction_reference(p):
-    # the rational roots are divided out one at a time, as real_roots does
-    q = p
-    while q.degree >= 1:
-        kind, payload = _isolate(q)
-        assert (kind, payload) == _ref_isolate(q)
-        if kind != "rational":
-            break
-        q = (q // UniPoly((-payload, 1))).primitive()
+    # one walk collects the rational roots, and the witness left after
+    # dividing them all out gives the same cells as the restart loop
+    want = _ref_real_roots(p)
+    got = [(r.value, r.low, r.high, r.poly and r.poly.coeffs) for r in real_roots(p)]
+    assert got == want
+    # the walk of p itself isolates each irrational root once: a midpoint
+    # that is a root leaves no interval ending at it
+    rationals, intervals = _isolate(p, _sturm_chain(p, p.derivative()))
+    assert sorted(rationals) == [r[0] for r in want if r[0] is not None]
+    assert len(rationals) + len(intervals) == len(want)
+
+
+@settings(KERNEL_SETTINGS, max_examples=30)
+@given(squarefree_polys(), squarefree_polys(), _factor)
+def test_common_root_test_matches_the_sturm_count_of_the_gcd(p, q, common):
+    a, b = p * common, q * common
+    roots_a, roots_b = real_roots(a), real_roots(b)
+    for x in roots_a + roots_b:
+        for poly in (a, b):
+            if x.is_rational:
+                want = _ref_sign(poly, x.value) == 0
+            else:
+                want = _ref_common_root_in(poly, x.poly, x.low, x.high)
+            assert x.is_root_of(poly) is want
+        assert x.is_root_of(UniPoly()) is True
+        assert x.is_root_of(UniPoly((7,))) is False
+    for x in roots_a:
+        for y in roots_b:
+            want = _ref_compare(x, y)
+            assert (x.compare(y), y.compare(x)) == (want, -want)
 
 
 @settings(KERNEL_SETTINGS, max_examples=20)
@@ -248,9 +324,9 @@ def test_refine_lands_on_the_bisection_cell_on_the_orbit_spectra():
         for value in real_roots(p):
             if value.is_rational:
                 continue
-            kind, payload = _isolate(value.poly)
-            assert kind == "intervals"
-            (lo, hi), = [(a, b) for a, b in payload if a <= value.low and value.high <= b]
+            rationals, intervals = _isolate(value.poly, _sturm_chain(value.poly, value.poly.derivative()))
+            assert rationals == []
+            (lo, hi), = [(a, b) for a, b in intervals if a <= value.low and value.high <= b]
             # widths that land at levels 1-6 from the isolating interval,
             # across the switch from bisection alone to Newton steps
             levels = tuple((hi - lo) * 3 / 2 ** (k + 1) for k in range(1, 7))
