@@ -6,7 +6,9 @@ variety — the character table from the points themselves, the P-polynomial
 property from the shape of the lex basis, expressions of classes in a
 chosen subset from the solved forms of a block-lex basis, and "generic"
 elements (single matrices whose eigenvalues separate the whole spectrum)
-from random coordinate changes that never re-run any Groebner computation.
+from random coordinate changes that never re-run any Groebner computation:
+each candidate is decided by a Krylov walk, and only the separating one is
+converted.
 
 Minimal generating sets are the one exception: whether a class set generates
 depends only on the dimension of the subalgebra its intersection matrices
@@ -34,7 +36,7 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import Interval, UniPoly, real_roots, refine_until
+from .exactmath import Interval, UniPoly, _reduce_row, refine_until
 from .fglm import (
     ReducedGB,
     _algebraic_value,
@@ -59,17 +61,21 @@ from .structure_ideal import StructureBasis, multiplication_matrix, structure_ba
 # ---------------------------------------------------------------------------
 
 
-def variety_points(sb: StructureBasis):
+def variety_points(sb: StructureBasis, *, _ctx=None):
     """All common zeros of the structure ideal, exactly.
 
     Tries each variable in turn as the smallest one of a pure-lex order; if
     no conversion is triangular enough to solve (possible when irrational
     eigenvalues collide), falls back to a generic element, whose eigenvalue
     separates the points by construction.  Every attempt and the fallback
-    share one _SolveContext, so each class's spectrum is computed once.
+    share one _SolveContext, so each class's minimal polynomial is computed
+    once and each distinct polynomial is isolated once: an eliminant shares
+    the spectrum of its smallest class, and the roots a futile attempt
+    isolated are the spectra the fallback reads.  `_ctx`, a _SolveContext of
+    sb, extends that sharing to the caller (`character_table`).
     """
     nv = sb.nvars
-    ctx = _SolveContext(sb)
+    ctx = _SolveContext(sb) if _ctx is None else _ctx
     for i in range(1, nv):
         rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
         try:
@@ -82,7 +88,7 @@ def variety_points(sb: StructureBasis):
 
 def _points_from_generic(ctx, ge):
     points = []
-    for root in real_roots(ge.eliminant):
+    for root in ctx.roots(ge.eliminant):
         coords = tuple(
             _algebraic_value(ctx, (root,), lambda ivs, e=e: e.evaluate_interval(*ivs), j)
             for j, e in enumerate(ge.expressions)
@@ -173,10 +179,15 @@ def character_table(s: Scheme) -> CharacterTable:
     give a non-integral multiplicity.  Only the last can happen on a
     validated associative tensor (srg(5,3,1,3) gives m = 5/2); the others
     are internal invariants.
+
+    One _SolveContext serves the solve and the cross-check, so each class's
+    minimal polynomial and each distinct polynomial's real roots are
+    computed once per call.
     """
     sb = structure_basis(s)
-    pts = variety_points(sb)
-    if not moller_stetter_check(sb, pts):
+    ctx = _SolveContext(sb)
+    pts = variety_points(sb, _ctx=ctx)
+    if not moller_stetter_check(sb, pts, _ctx=ctx):
         raise InternalInvariantViolation("variety points fail the eigenvalue cross-check")
     val = s.valencies
     # |P[nu][i]| <= k_i (Perron-Frobenius: B_i is nonnegative with row sums
@@ -427,37 +438,37 @@ def find_generic_element(s: Scheme, rng_seed=0, max_coeff=10, max_attempts=32) -
 def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
     """Hunt for a separating linear combination by repeated coordinate changes.
 
-    Starts from the last class alone.  After each failed try, the smallest
-    class with no solved form gets a random positive weight added.  The key
-    saving: a linear change of the last coordinate only changes its
-    multiplication matrix to the matching linear combination, so each retry
-    is a fresh linear-algebra conversion, never a new Groebner computation.
+    Starts from the last class alone, y = B_d.  Each candidate
+    y = sum_v lam_v B_v is decided by `_unsolved_classes`, one Krylov walk
+    and no conversion.  After each failed try, the smallest class with no
+    solved form gets a random positive weight added.  Only the separating
+    candidate is converted: a linear change of the last coordinate only
+    changes its multiplication matrix to the matching linear combination,
+    so the conversion is linear algebra, never a new Groebner computation.
     x_d = y - sum_v lam_v q_v(y) is taken modulo the eliminant: that changes
     nothing for d >= 1 (degree d < d+1) and gives x_0 = 1 when d = 0.
     """
     nv = sb.nvars
     d = nv - 1
-    order = MonomialOrder.lex(tuple(range(nv)))
-    mats = [multiplication_matrix(sb, i) for i in range(nv)]
+    columns = _sparse_columns(sb)
     rng = random.Random(rng_seed)
     lam = [0] * d + [1]
     changes = []
-    eff_last = mats[d]
-    while True:
-        rgb = fglm_from_matrices(mats[:d] + [eff_last], order)
-        elim, exprs = shape_forms(rgb, d)
-        missing = [j for j in range(d) if j not in exprs]
-        if not missing:
-            break
+    while missing := _unsolved_classes(columns, lam):
         if len(changes) >= max_attempts:
             raise AttemptsExhausted(
                 f"no separating combination found after {max_attempts} coordinate changes"
             )
-        v = min(missing)
+        v = missing[0]
         c = rng.randint(1, max_coeff)
         lam[v] += c
         changes.append((v, c))
+    mats = [multiplication_matrix(sb, i) for i in range(nv)]
+    eff_last = mats[d]
+    for v, c in changes:
         eff_last = eff_last + mats[v].scale(c)
+    rgb = fglm_from_matrices(mats[:d] + [eff_last], MonomialOrder.lex(tuple(range(nv))))
+    elim, exprs = shape_forms(rgb, d)
     last = UniPoly.monomial(1)
     for v in range(d):
         last = last - exprs[v] * lam[v]
@@ -468,3 +479,37 @@ def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
         expressions=tuple(exprs[j] for j in range(d)) + (last % elim,),
         basis=rgb,
     )
+
+
+def _unsolved_classes(columns, lam):
+    """The classes j < d, ascending, with no solved form x_j - q_j(y) in the
+    lex basis of Q[x_0..x_{d-1}, y], y = sum_v lam_v B_v the smallest
+    variable, the basis `_generic_element` converts to.
+
+    `columns` is `fglm._sparse_columns` of the structure basis.  x_j has a
+    solved form exactly when e_j = B_j e_0 lies in span{y^k e_0}: the powers
+    of y are the smallest monomials, so the staircase holds every y^k the
+    span needs, and the normal form of x_j is then q_j(y).  One
+    `fglm._krylov` walk of e_0 under the combined sparse columns of y spans
+    it, and e_j lies in it exactly when `_reduce_row` takes e_j to 0.  When
+    the walk reaches d+1 rows, y separates and no class is unsolved."""
+    n = len(columns[0])
+    combined = []
+    for m in range(n):
+        acc = {}
+        for v, c in enumerate(lam):
+            if c:
+                for k, a in columns[v][m]:
+                    acc[k] = acc.get(k, 0) + c * a
+        combined.append([(k, a) for k, a in acc.items() if a])
+    echelon = {0: (1,) + (0,) * (n - 1)}
+    for row, pivot in _krylov([combined], (0,), echelon[0]):
+        if pivot is not None:
+            echelon[pivot] = row
+    if len(echelon) == n:
+        return []
+    return [
+        j
+        for j in range(1, n - 1)
+        if _reduce_row(echelon, [int(k == j) for k in range(n)], n)[1] is not None
+    ]

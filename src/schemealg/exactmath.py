@@ -629,13 +629,11 @@ def _grid_cell(big, lo, hi, gap):
 
 
 def _variations(chain, a, b):
-    """Sign variations of the chain at a/b (integers, b > 0), zeros skipped."""
-    signs = []
-    for q in chain:
-        s = _sign_num(q._c, a, b)
-        if s:
-            signs.append(s)
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+    """(V, s) at a/b (integers, b > 0): the chain's sign variations V, zeros
+    skipped, and the sign s of its first member, from one pass."""
+    signs = [_sign_num(q._c, a, b) for q in chain]
+    nonzero = [s for s in signs if s]
+    return sum(1 for x, y in zip(nonzero, nonzero[1:]) if x != y), signs[0]
 
 
 def _common_root_in(p, q, lo, hi):
@@ -662,12 +660,13 @@ def _isolate(q, chain):
     An interval is kept as integers (a, b, den, va, vb): the endpoints a/den
     and b/den over one common denominator, doubled at each split, and the
     chain's sign variations at them, so a split evaluates the chain at its
-    midpoint only.  Fractions are built only for the roots returned.
+    midpoint only, and that one pass gives q's sign there (q is chain[0]).
+    Fractions are built only for the roots returned.
     """
     bound = q.cauchy_root_bound()
     lc = abs(q.leading_coeff())
     top, den = bound.numerator, bound.denominator
-    stack = [(-top, top, den, _variations(chain, -top, den), _variations(chain, top, den))]
+    stack = [(-top, top, den, _variations(chain, -top, den)[0], _variations(chain, top, den)[0])]
     rationals, intervals = [], []
     while stack:
         a, b, den, va, vb = stack.pop()
@@ -682,8 +681,8 @@ def _isolate(q, chain):
                 intervals.append((Fraction(a, den), Fraction(b, den)))
             continue
         mid, den = a + b, 2 * den
-        vm = _variations(chain, mid, den)
-        at_root = _sign_num(q._c, mid, den) == 0
+        vm, sign = _variations(chain, mid, den)
+        at_root = sign == 0
         if at_root:
             rationals.append(Fraction(mid, den))
         stack.append((2 * a, mid, den, va, vm + at_root))

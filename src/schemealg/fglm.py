@@ -7,7 +7,8 @@ needed.  The walk keeps the new normal set, an order ideal, as one dict,
 and finds the dependencies by fraction-free integer elimination, the
 `exactmath._reduce_row` kernel that `_krylov`, the one closure walk of e_0
 under the multiplication matrices, uses too: it gives the minimal
-polynomials whose roots are the spectra, and the mingen closure.
+polynomials whose roots are the spectra, the mingen closure and the
+generic-element decisions.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
@@ -31,6 +32,8 @@ from .exactmath import (
     _integer_box,
     _integers,
     _reduce_row,
+    _sign_at,
+    _sturm_chain,
     real_roots,
     refine_until,
 )
@@ -228,20 +231,38 @@ def _minimal_polynomial(columns, i):
 
 
 class _SolveContext:
-    """Caches the spectra (real roots of the minimal polynomials of the
-    multiplication matrices, which have the characteristic polynomials' zero
-    sets) used to represent irrational coordinates, for one solve or for
-    every attempt of one `variety_points` call."""
+    """What one structure basis gives every solve that reads it, computed
+    once: the sparse columns, each class's minimal polynomial (its Krylov
+    walk) and the real roots of each distinct polynomial.
+
+    `roots(p)` memoises `real_roots` by the coefficients of p's primitive
+    associate, the only form of p that `real_roots` reads, so it returns
+    what `real_roots(p)` would.  A spectrum (the real roots of a class's
+    minimal polynomial, the zero set of its characteristic polynomial) is
+    `roots` of that polynomial: classes with one minimal polynomial share
+    it, and so does a lex eliminant, which is the minimal polynomial of its
+    smallest class.  One context serves one solve, every attempt of one
+    `variety_points` call, or a whole `character_table`."""
 
     def __init__(self, sb):
         self.sb = sb
         self._columns = _sparse_columns(sb)
-        self._spectra = {}
+        self._minimal = {}
+        self._roots = {}
+
+    def minimal_polynomial(self, var):
+        if var not in self._minimal:
+            self._minimal[var] = _minimal_polynomial(self._columns, var)
+        return self._minimal[var]
+
+    def roots(self, p):
+        key = p.primitive().coeffs
+        if key not in self._roots:
+            self._roots[key] = tuple(real_roots(p))
+        return self._roots[key]
 
     def spectrum(self, var):
-        if var not in self._spectra:
-            self._spectra[var] = tuple(real_roots(_minimal_polynomial(self._columns, var)))
-        return self._spectra[var]
+        return self.roots(self.minimal_polynomial(var))
 
 
 def _algebraic_value(ctx, values, enclosure, var):
@@ -273,7 +294,8 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
     are accepted; anything else raises NotTriangularEnough.  Every point is
     certified against the structure basis before being returned.  `_ctx`, a
     _SolveContext of sb, lets the attempts of one `variety_points` call share
-    their spectra.
+    their real roots: the eliminant and the rational partials' polynomials
+    are isolated through it, as the spectra are.
     """
     ctx = _SolveContext(sb) if _ctx is None else _ctx
     order = rgb.target_order
@@ -293,7 +315,7 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
                 values = {j: v.value for j, v in assign.items()}
                 upolys = [g.partial_eval(values).univariate_in(y) for g in stage_gens]
                 h = reduce(lambda a, b: a.gcd(b), (u for u in upolys if not u.is_zero()))
-                for root in real_roots(h):
+                for root in ctx.roots(h):
                     ext = dict(assign)
                     ext[y] = root
                     nxt.append(ext)
@@ -361,19 +383,36 @@ def _relation_enclosures(p, box):
     return den, out
 
 
-def moller_stetter_check(sb: StructureBasis, points) -> bool:
+def moller_stetter_check(sb: StructureBasis, points, *, _ctx=None) -> bool:
     """Eigenvalue consistency, class by class: the point count must equal the
     quotient dimension, and coordinate i of every point must be a root of
     the minimal polynomial of multiplication matrix i (the zero set of its
     characteristic polynomial).  It does not check which point holds which
     eigenvalue: points that swap one coordinate pass.  `_certify_point` ties
-    the coordinates of one point together."""
+    the coordinates of one point together.
+
+    A rational coordinate is one exact sign test.  An irrational one is
+    `RealRoot.is_root_of`, with its gcd taken once per distinct (class,
+    witness): g = gcd(minimal polynomial, witness) divides the witness, so
+    the coordinate is a root exactly when g changes sign across its
+    isolating interval.  `_ctx`, a _SolveContext of sb, shares the minimal
+    polynomials with the solve that found the points."""
     points = tuple(points)
     if len(points) != sb.quotient_dimension:
         return False
-    columns = _sparse_columns(sb)
+    ctx = _SolveContext(sb) if _ctx is None else _ctx
     for i in range(sb.nvars):
-        mp = _minimal_polynomial(columns, i)
-        if not all(pt.coordinates[i].is_root_of(mp) for pt in points):
-            return False
+        mp = ctx.minimal_polynomial(i)
+        gcds = {}  # witness coefficients -> an associate of gcd(mp, witness)
+        for pt in points:
+            c = pt.coordinates[i]
+            if c.is_rational:
+                if _sign_at(mp, c.value):
+                    return False
+                continue
+            g = gcds.get(c.poly.coeffs)
+            if g is None:
+                g = gcds[c.poly.coeffs] = _sturm_chain(mp, c.poly)[-1]
+            if _sign_at(g, c.low) == _sign_at(g, c.high):
+                return False
     return True

@@ -37,6 +37,7 @@ from schemealg.analysis import (
     _points_from_generic,
     _sparse_columns,
     _trace_sums_vanish,
+    _unsolved_classes,
 )
 from schemealg.scheme import (
     IntersectionTensor,
@@ -54,7 +55,7 @@ from schemealg.fglm import (
     solve_triangular,
 )
 from schemealg.polyring import MonomialOrder
-from schemealg.structure_ideal import structure_basis
+from schemealg.structure_ideal import multiplication_matrix, structure_basis
 
 
 def _values(rows):
@@ -783,20 +784,74 @@ ORBIT_32_7_CHANGES = ((1, 7), (2, 7), (1, 1), (4, 5))
 
 @pytest.mark.parametrize("max_attempts", range(5))
 def test_generic_element_spends_exactly_its_attempt_budget(monkeypatch, max_attempts):
-    # one conversion for the first candidate, then one per coordinate change
-    calls = []
+    # one Krylov decision for the first candidate, then one per coordinate
+    # change; only the separating candidate is converted
+    decisions, conversions = [], []
+    monkeypatch.setattr(
+        "schemealg.analysis._unsolved_classes",
+        lambda columns, lam: decisions.append(tuple(lam)) or _unsolved_classes(columns, lam),
+    )
     monkeypatch.setattr(
         "schemealg.analysis.fglm_from_matrices",
-        lambda *args: calls.append(args) or fglm_from_matrices(*args),
+        lambda *args: conversions.append(args) or fglm_from_matrices(*args),
     )
     s = orbit_scheme(32, 7)
     if max_attempts < len(ORBIT_32_7_CHANGES):
         message = f"^no separating combination found after {max_attempts} coordinate changes$"
         with pytest.raises(AttemptsExhausted, match=message):
             find_generic_element(s, max_attempts=max_attempts)
+        assert conversions == []
     else:
         assert find_generic_element(s, max_attempts=max_attempts).changes == ORBIT_32_7_CHANGES
-    assert len(calls) == max_attempts + 1
+        assert len(conversions) == 1
+    assert len(decisions) == max_attempts + 1
+
+
+def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
+    # the classes `_unsolved_classes` reports are those with no solved form in
+    # the lex basis that `_generic_element` would convert to: the last class
+    # alone, then three seeded combinations, on every distinct tensor
+    rng = random.Random(24)
+    cases = separating = 0
+    for s in distinct_orbit_tensors(24):
+        sb = structure_basis(s)
+        d = s.d
+        columns = _sparse_columns(sb)
+        mats = [multiplication_matrix(sb, i) for i in range(d + 1)]
+        for t in range(4):
+            lam = [0] * d + [1]
+            if t:
+                for v in rng.sample(range(d), rng.randint(1, d)):
+                    lam[v] = rng.randint(0, 4)
+            last = mats[d]
+            for v in range(d):
+                last = last + mats[v].scale(lam[v])
+            rgb = fglm_from_matrices(mats[:d] + [last], MonomialOrder.lex(tuple(range(d + 1))))
+            _, exprs = shape_forms(rgb, d)
+            missing = [j for j in range(d) if j not in exprs]
+            assert _unsolved_classes(columns, lam) == missing, (s.tensor.p, lam)
+            cases += 1
+            separating += not missing
+    assert cases == 212
+    assert 0 < separating < cases
+
+
+def test_character_table_isolates_each_distinct_polynomial_once(monkeypatch):
+    # on orbit (61, 3) the six classes share one minimal polynomial, which is
+    # also the lex eliminant; the valency point's partial gives x - 10, and
+    # x - 1 is both its x0 polynomial and class 0's minimal polynomial
+    s = orbit_scheme(61, 3)
+    columns = _sparse_columns(structure_basis(s))
+    minimal = {_minimal_polynomial(columns, i).coeffs for i in range(s.d + 1)}
+    assert minimal == {(-1, 1), _minimal_polynomial(columns, 1).coeffs}
+    calls = []
+    monkeypatch.setattr(
+        "schemealg.fglm.real_roots",
+        lambda p, *args: calls.append(p.primitive().coeffs) or real_roots(p, *args),
+    )
+    assert character_table(s).size == 7
+    assert len(calls) == 3
+    assert set(calls) == minimal | {(-10, 1)}
 
 
 def test_generic_element_many_seeds_terminate(ex2_scheme):

@@ -445,7 +445,8 @@ CHARTAB_DIGITS_SHA256 = {
 # diagnostics read off each lex basis, and the generic element's eliminant and
 # expressions.  (13, 5) fails on the degree sequence, (25, 4) on the eliminant
 # degree and needs a coordinate change, (31, 5) fails on the degree sequence
-# with d = 5, and the pentagon (5, 4) is P-polynomial.
+# with d = 5, the pentagon (5, 4) is P-polynomial, and the generic element of
+# (32, 7) takes four coordinate changes, the longest search pinned.
 REPORT_SHA256 = {
     ("generator", 5, 4, "json"): "b88cdb1504d3e13ab1ee1eedda70fae4522df19a13b24c6fe892ee1ccafbd533",
     ("generator", 5, 4, "text"): "9f440046f951ca1ee271756cbec26595c74aa9ce7a74719f2685efa9edd3882b",
@@ -455,6 +456,8 @@ REPORT_SHA256 = {
     ("generator", 25, 4, "text"): "dadde9e44efd195bcea3d35209cd5c319ef7ac7536c5d7de5e3ab557faa2033b",
     ("generator", 31, 5, "json"): "44c525f8d5cd26a9f02175878d8610552d95ff037db3dc7b0acead1166bb870d",
     ("generator", 31, 5, "text"): "bb11816affc48b563992931a4dee06261a678d1b79d4e30b03acdbcd7ac81850",
+    ("generator", 32, 7, "json"): "148f46f4484eefb1a6fc9195fccc56af157dbb6276d5a73decfda2ec2a261fb7",
+    ("generator", 32, 7, "text"): "cea0f11f6ddfdf11042eda451ab9621d9ab756e232309f48b462718c91f85a4b",
     ("ppoly", 5, 4, "json"): "59ee3d8877407d61f51e06332a800e96889b6c4c3b6a8ac64da4345829c700ab",
     ("ppoly", 5, 4, "text"): "6d8d13b67107023dcd6ec28ebb81907c515b1819610964c88339844e1709f418",
     ("ppoly", 13, 5, "json"): "9f7c77cda9cf24aa4394821491edbb25e61ad3f7dd009e8568f924e6c93518c5",

@@ -1,6 +1,7 @@
 """Tests for order conversion and triangular solving."""
 
 import heapq
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,9 +9,9 @@ from math import gcd
 import pytest
 from conftest import distinct_orbit_tensors, parse_basis, parse_poly
 
-from schemealg.analysis import find_generic_element
+from schemealg.analysis import find_generic_element, variety_points
 from schemealg.errors import InternalInvariantViolation, NotTriangularEnough
-from schemealg.exactmath import RealRoot, UniPoly, real_roots
+from schemealg.exactmath import RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
 from schemealg.fglm import (
     ReducedGB,
     VarietyPoint,
@@ -205,22 +206,34 @@ def test_certification_rejects_wrong_points(ex1_scheme):
         solve_triangular(rgb, sb)
 
 
+def _moller_stetter(sb, points, ctx):
+    """The verdict of moller_stetter_check, asserted to be the same on its own
+    and with `ctx`, the _SolveContext that found the points."""
+    verdict = moller_stetter_check(sb, points)
+    assert moller_stetter_check(sb, points, _ctx=ctx) is verdict
+    return verdict
+
+
+def _lex_points(sb, ctx):
+    return list(solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, 1)), sb, _ctx=ctx))
+
+
 def test_moller_stetter_accepts_true_points(ex1_scheme, ex2_scheme, k3_scheme):
     for s in (ex1_scheme, ex2_scheme, k3_scheme):
         sb = structure_basis(s)
-        rgb = fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, 1))
-        assert moller_stetter_check(sb, solve_triangular(rgb, sb))
+        ctx = _SolveContext(sb)
+        assert _moller_stetter(sb, _lex_points(sb, ctx), ctx)
 
 
 def test_moller_stetter_rejects_wrong_count_and_values(ex1_scheme):
     sb = structure_basis(ex1_scheme)
-    rgb = fglm_convert(sb, MonomialOrder.lex_smallest(3, 1))
-    pts = list(solve_triangular(rgb, sb))
-    assert not moller_stetter_check(sb, pts[:-1])
+    ctx = _SolveContext(sb)
+    pts = _lex_points(sb, ctx)
+    assert not _moller_stetter(sb, pts[:-1], ctx)
     fake = VarietyPoint(
         coordinates=(RealRoot.rational(1), RealRoot.rational(5), RealRoot.rational(2))
     )
-    assert not moller_stetter_check(sb, pts[:-1] + [fake])
+    assert not _moller_stetter(sb, pts[:-1] + [fake], ctx)
 
 
 def test_moller_stetter_sees_values_not_which_point_holds_them():
@@ -228,26 +241,68 @@ def test_moller_stetter_sees_values_not_which_point_holds_them():
     # polynomial, the characteristic polynomial's zero set
     def points(m, r):
         sb = structure_basis(orbit_scheme(m, r))
-        return sb, list(solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, 1)), sb))
+        ctx = _SolveContext(sb)
+        return sb, ctx, _lex_points(sb, ctx)
 
     # two points of orbit (13, 5) that swap their x1: every coordinate is
     # still an eigenvalue of its class, so the check passes, and the residual
     # certificate rejects both points
-    sb, pts = points(13, 5)
+    sb, ctx, pts = points(13, 5)
     a, b = pts[1].coordinates, pts[2].coordinates
     swapped = [(a[0], b[1], *a[2:]), (b[0], a[1], *b[2:])]
     assert not (a[1].is_rational or b[1].is_rational) and a[1] != b[1]
-    assert moller_stetter_check(sb, pts[:1] + [VarietyPoint(c) for c in swapped] + pts[3:])
+    assert _moller_stetter(sb, pts[:1] + [VarietyPoint(c) for c in swapped] + pts[3:], ctx)
     for coords in swapped:
         with pytest.raises(InternalInvariantViolation, match="certified nonzero"):
             _certify_point(_SolveContext(sb), coords)
     # an irrational x1 of the 8-cycle copied into x2, whose class has the
     # eigenvalues 0 and +-2 only
-    sb, pts = points(8, 7)
+    sb, ctx, pts = points(8, 7)
     k, x = next((k, pt.coordinates) for k, pt in enumerate(pts) if not pt.coordinates[1].is_rational)
     fake = VarietyPoint((x[0], x[1], x[1], *x[3:]))
-    assert moller_stetter_check(sb, pts)
-    assert not moller_stetter_check(sb, pts[:k] + [fake] + pts[k + 1 :])
+    assert _moller_stetter(sb, pts, ctx)
+    assert not _moller_stetter(sb, pts[:k] + [fake] + pts[k + 1 :], ctx)
+
+
+def _unrefined(c):
+    """c on the interval `_isolate` gave its witness, before any refinement:
+    wide enough to hold roots of other polynomials."""
+    if c.is_rational:
+        return c
+    _, intervals = _isolate(c.poly, _sturm_chain(c.poly, c.poly.derivative()))
+    lo, hi = next((lo, hi) for lo, hi in intervals if lo <= c.low and c.high <= hi)
+    return RealRoot.isolated(c.poly, lo, hi)
+
+
+def test_moller_stetter_agrees_with_is_root_of_on_moved_coordinates():
+    # coordinate i of every point replaced by its coordinate j, unrefined: the
+    # check accepts exactly when each moved value is a root of class i's
+    # minimal polynomial by `RealRoot.is_root_of`, though it takes one gcd
+    # per witness
+    verdicts = []
+    for s in distinct_orbit_tensors(16):
+        sb = structure_basis(s)
+        ctx = _SolveContext(sb)
+        pts = [[_unrefined(c) for c in pt.coordinates] for pt in variety_points(sb, _ctx=ctx)]
+        for i, j in itertools.permutations(range(1, s.d + 1), 2):
+            moved = [VarietyPoint((*x[:i], x[j], *x[i + 1 :])) for x in pts]
+            want = all(pt.coordinates[i].is_root_of(ctx.minimal_polynomial(i)) for pt in moved)
+            assert _moller_stetter(sb, moved, ctx) is want, (s.tensor.p, i, j)
+            verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (396, 193)
+
+
+def test_solve_context_isolates_associates_once(monkeypatch):
+    # `roots` keys its memo by the primitive associate, the one form of the
+    # polynomial that `real_roots` reads
+    calls = []
+    monkeypatch.setattr("schemealg.fglm.real_roots", lambda p: calls.append(p) or real_roots(p))
+    ctx = _SolveContext(structure_basis(orbit_scheme(13, 5)))
+    roots = ctx.roots(UniPoly((-2, 0, 1)))
+    assert ctx.roots(UniPoly((Fraction(-1), 0, Fraction(1, 2)))) is roots
+    assert ctx.roots(UniPoly((4, 0, -2))) is roots
+    assert ctx.roots(UniPoly((-3, 0, 1))) is not roots
+    assert len(calls) == 2
 
 
 def test_random_roundtrip_and_solve():
