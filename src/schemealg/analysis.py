@@ -36,14 +36,16 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import Interval, UniPoly, _reduce_row, refine_until
-from .fglm import (
+from .exactmath import Interval, RealRoot, UniPoly, _reduce_row, refine_until
+# _algebraic_value and _certify_point are unused here: perfbench/test_perfbench.py
+# checks that its tracer wraps these bindings
+from .fglm import (  # noqa: F401
     ReducedGB,
     _algebraic_value,
     _certify_point,
     _krylov,
+    _shape_points,
     _SolveContext,
-    _sparse_columns,
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
@@ -53,7 +55,7 @@ from .fglm import (
 )
 from .polyring import MonomialOrder
 from .scheme import Scheme
-from .structure_ideal import StructureBasis, multiplication_matrix, structure_basis
+from .structure_ideal import StructureBasis, _sparse_columns, multiplication_matrix, structure_basis
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +89,9 @@ def variety_points(sb: StructureBasis, *, _ctx=None):
 
 
 def _points_from_generic(ctx, ge):
-    points = []
-    for root in ctx.roots(ge.eliminant):
-        coords = tuple(
-            _algebraic_value(ctx, (root,), lambda ivs, e=e: e.evaluate_interval(*ivs), j)
-            for j, e in enumerate(ge.expressions)
-        )
-        points.append(_certify_point(ctx, coords))
-    return tuple(points)
+    """The points (q_0(t), ..., q_d(t)) over the roots t of the generic
+    eliminant: the univariate kernel a shape-position lex basis uses too."""
+    return _shape_points(ctx, ge.eliminant, ge.expressions)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +194,32 @@ def character_table(s: Scheme) -> CharacterTable:
         raise InternalInvariantViolation("valency point missing from the variety")
     P = tuple(pt.coordinates for pt in ordered)
     mults = [_multiplicity(s.order, val, row) for row in P]
-    Q = tuple(
-        tuple(row[i].scale(Fraction(m, k)) for row, m in zip(P, mults))
-        for i, k in enumerate(val)
-    )
+    Q = _second_eigenmatrix(P, mults, val)
     if not _trace_sums_vanish(s.order, mults, P):
         raise InternalInvariantViolation("P and Q fail the orthogonality certificate")
     return CharacterTable(scheme=s, points=ordered, P=P, Q=Q)
+
+
+def _second_eigenmatrix(P, mults, valencies):
+    """Q[i][nu] = m_nu P[nu][i] / k_i, each entry what `RealRoot.scale`
+    gives, with the witness of each distinct (witness, factor) pair scaled
+    once: the irrational entries of an orbit scheme's P share a few
+    witnesses, and `UniPoly.scale_argument` is the costly step."""
+    witnesses = {}  # (witness, factor) -> the witness of factor times its roots
+
+    def scale(c, f):
+        if c.is_rational:
+            return c.scale(f)
+        w = witnesses.get((c.poly, f))
+        if w is None:
+            w = witnesses[c.poly, f] = c.poly.scale_argument(f)
+        iv = c.interval().scale(f)
+        return RealRoot.isolated(w, iv.lo, iv.hi)
+
+    return tuple(
+        tuple(scale(row[i], Fraction(m, k)) for row, m in zip(P, mults))
+        for i, k in enumerate(valencies)
+    )
 
 
 def _compare_points(a, b):
@@ -394,10 +410,10 @@ def _generates(columns, subset):
 def _closure_size(columns, subset):
     """The dimension of the unital subalgebra Q[B_i : i in subset].
 
-    `columns` is `fglm._sparse_columns` of the structure basis.  The
-    `fglm._krylov` walk from e_0 spans the subalgebra applied to e_0, which
-    is the subalgebra itself since e_0 is the identity; its size is 1 plus
-    the rows that found a pivot.  Returns d+1 as soon as it is reached.
+    `columns` is `structure_ideal._sparse_columns` of the structure basis.
+    The `fglm._krylov` walk from e_0 spans the subalgebra applied to e_0,
+    which is the subalgebra itself since e_0 is the identity; its size is 1
+    plus the rows that found a pivot.  Returns d+1 as soon as it is reached.
     """
     n = len(columns[0])
     size = 1
@@ -486,10 +502,10 @@ def _unsolved_classes(columns, lam):
     lex basis of Q[x_0..x_{d-1}, y], y = sum_v lam_v B_v the smallest
     variable, the basis `_generic_element` converts to.
 
-    `columns` is `fglm._sparse_columns` of the structure basis.  x_j has a
-    solved form exactly when e_j = B_j e_0 lies in span{y^k e_0}: the powers
-    of y are the smallest monomials, so the staircase holds every y^k the
-    span needs, and the normal form of x_j is then q_j(y).  One
+    `columns` is `structure_ideal._sparse_columns` of the structure basis.
+    x_j has a solved form exactly when e_j = B_j e_0 lies in span{y^k e_0}:
+    the powers of y are the smallest monomials, so the staircase holds every
+    y^k the span needs, and the normal form of x_j is then q_j(y).  One
     `fglm._krylov` walk of e_0 under the combined sparse columns of y spans
     it, and e_j lies in it exactly when `_reduce_row` takes e_j to 0.  When
     the walk reaches d+1 rows, y separates and no class is unsolved."""

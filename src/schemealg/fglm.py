@@ -4,6 +4,7 @@ The quotient algebra of a structure ideal is finite-dimensional, so a target
 Groebner basis can be read off from linear dependencies among normal-form
 coordinate vectors; no polynomial division in the target order is ever
 needed.  The walk keeps the new normal set, an order ideal, as one dict,
+applies each matrix through the nonzero entries of its columns (`_apply`),
 and finds the dependencies by fraction-free integer elimination, the
 `exactmath._reduce_row` kernel that `_krylov`, the one closure walk of e_0
 under the multiplication matrices, uses too: it gives the minimal
@@ -12,17 +13,21 @@ generic-element decisions.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
-extracted from a lex basis: real roots of the eliminant, back-substitution
-through the remaining generators, and residual certification by interval
-enclosures of the structure relations, read off the intersection tensor
-(exact on rational points).
+extracted from a lex basis: in shape position every coordinate is q_j(t)
+for a real root t of f, matched against its class's spectrum from t alone
+(`_shape_points`, the kernel the generic element uses too); any other basis
+is solved stage by stage (`_stage_points`).  Every point passes residual
+certification by interval enclosures of the structure relations, read off
+the nonzero entries of the intersection tensor (exact on rational points).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
 from .exactmath import (
@@ -38,7 +43,7 @@ from .exactmath import (
     refine_until,
 )
 from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis
-from .structure_ideal import StructureBasis, multiplication_matrix
+from .structure_ideal import StructureBasis, _sparse_columns, multiplication_matrix
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,11 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     some mono / x_u is not a key.  Each monomial is pushed once, by
     mono / x_top (x_top its largest variable), and its vector is mats[top]
     applied to that parent's; as the matrices commute, every parent gives
-    the same vector.  The vector, with a unit slot appended and scaled to
-    integers (the matrices may be rational), is reduced by `_reduce_row`
-    against an integer echelon whose rows carry, past the head, their
-    combination over the staircase.  An independent vector joins the
+    the same vector.  Each matrix is read once, into the nonzero entries of
+    its columns, when the walk first applies it (`_apply`).  The vector,
+    with a unit slot appended and scaled to integers (the matrices may be
+    rational), is reduced by `_reduce_row` against an integer echelon whose
+    rows carry, past the head, their combination over the staircase.  An independent vector joins the
     staircase; a dependent one leaves a tail that is the relation
     mono + sum_t (tail_t / tail_mono) t, a border generator, led by mono, so
     the generators come out in ascending leading-monomial order.  The
@@ -128,8 +134,11 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
     if len(mats) != nv:
         raise DimensionMismatch("need one multiplication matrix per variable")
     dim = mats[0].nrows
+    if any(m.shape != (dim, dim) for m in mats):
+        raise DimensionMismatch(f"multiplication matrices must all be {dim} x {dim}")
     one = Monomial.one(nv)
 
+    columns = {}  # var -> the nonzero (k, entry) of each column of mats[var], read once
     staircase = {}  # monomial -> its coordinate vector, in ascending target order
     echelon = {}  # pivot -> integer row [head | tail]
     generators = []
@@ -142,7 +151,9 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
         if var is None:
             vec = tuple(1 if i == 0 else 0 for i in range(dim))
         else:
-            vec = mats[var].apply(staircase[below[var]])
+            if var not in columns:
+                columns[var] = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*mats[var].rows)]
+            vec = _apply(columns[var], staircase[below[var]])
         # The row starts as den * [vec | e_slot], slot len(staircase) and den
         # the common denominator; every row stays sum_s tail[s] * [vec(s) | e_s]
         # over the staircase and the candidate.
@@ -175,10 +186,15 @@ def fglm_from_matrices(mats, target: MonomialOrder) -> ReducedGB:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_columns(sb: StructureBasis):
-    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i,
-    which is the tensor's vector p[i][m]."""
-    return [[[(k, a) for k, a in enumerate(col) if a] for col in pi] for pi in sb.scheme.tensor.p]
+def _apply(columns, vec):
+    """The product of a matrix, given by the nonzero (k, entry) of each of its
+    columns (as `_sparse_columns` gives B_i), with the vector `vec`, as a list."""
+    out = [0] * len(columns)
+    for x, col in zip(vec, columns):
+        if x:
+            for k, a in col:
+                out[k] += a * x
+    return out
 
 
 def _krylov(columns, subset, start):
@@ -202,11 +218,7 @@ def _krylov(columns, subset, start):
         for u in new:
             tail = u[n:]
             for i in subset:
-                w = [0] * n
-                for x, col in zip(u, columns[i]):
-                    if x:
-                        for k, a in col:
-                            w[k] += a * x
+                w = _apply(columns[i], u)
                 if tail:
                     w += (0, *tail[:-1])
                 w, pivot = _reduce_row(echelon, w, n)
@@ -246,13 +258,13 @@ class _SolveContext:
 
     def __init__(self, sb):
         self.sb = sb
-        self._columns = _sparse_columns(sb)
+        self.columns = _sparse_columns(sb)
         self._minimal = {}
         self._roots = {}
 
     def minimal_polynomial(self, var):
         if var not in self._minimal:
-            self._minimal[var] = _minimal_polynomial(self._columns, var)
+            self._minimal[var] = _minimal_polynomial(self.columns, var)
         return self._minimal[var]
 
     def roots(self, p):
@@ -269,12 +281,12 @@ def _algebraic_value(ctx, values, enclosure, var):
     """The eigenvalue of the var-th multiplication matrix that lies in
     enclosure(intervals of `values`): the one spectrum value whose interval
     meets it, with `values` (RealRoots) refined until exactly one does
-    (rational values are points, so they decide in the first round)."""
+    (rational values are points, so they decide in the first round).  The
+    members that meet the enclosure are found by bisection (`_meeting`)."""
     spectrum = ctx.spectrum(var)
 
     def verdict(values):
-        enc = enclosure([v.interval() for v in values])
-        hits = [c for c in spectrum if c.interval().intersect(enc) is not None]
+        hits = _meeting(spectrum, enclosure([v.interval() for v in values]))
         if not hits:
             raise InternalInvariantViolation(
                 "back-substituted value escaped the multiplication-matrix spectrum"
@@ -284,20 +296,72 @@ def _algebraic_value(ctx, values, enclosure, var):
     return refine_until(values, verdict, "back-substitution")
 
 
+def _meeting(spectrum, enc):
+    """The members of `spectrum` whose intervals meet the Interval `enc`.
+
+    A spectrum is `real_roots` at DEFAULT_PRECISION: sorted, its irrational
+    members isolated by one walk of their witness (interiors disjoint) and
+    refined below 10^-30, so a rational member lies in an irrational one's
+    cell only if the two roots are closer than that.  So both ends ascend
+    along it and the members that meet `enc` are consecutive: a bisection
+    finds the first one whose upper end reaches enc.lo, and the run ends
+    before the first lower end past enc.hi."""
+    first = last = bisect_left(spectrum, enc.lo, key=_HIGH)
+    while last < len(spectrum) and spectrum[last].low <= enc.hi:
+        last += 1
+    return spectrum[first:last]
+
+
+_HIGH = attrgetter("high")
+
+
+def _shape_points(ctx, eliminant, forms):
+    """The certified points (q_0(t), ..., q_d(t)) over the real roots t of
+    `eliminant`, in ascending order of t: forms[j] is the univariate q_j, or
+    None where x_j is t itself.  Each coordinate is `_algebraic_value` of t
+    alone, enclosed by `UniPoly.evaluate_interval`, so it is a member of its
+    class's spectrum, shared by every point that has that value (a rational
+    t is a point, and its coordinates decide in the first round).  The one
+    kernel for a lex basis in shape position and for a generic element."""
+    points = []
+    for t in ctx.roots(eliminant):
+        coords = tuple(
+            t if q is None else _algebraic_value(ctx, (t,), lambda ivs, q=q: q.evaluate_interval(ivs[0]), j)
+            for j, q in enumerate(forms)
+        )
+        points.append(_certify_point(ctx, coords))
+    return tuple(points)
+
+
 def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
     """All real variety points of a (zero-dimensional, radical) lex basis.
 
-    Works stage by stage from the smallest variable up: real roots of the
-    eliminant, then each next variable from the generators that become
-    univariate (branching when several roots survive).  Once an irrational
-    coordinate is on the stack only solved-form generators x_j - g(smaller)
-    are accepted; anything else raises NotTriangularEnough.  Every point is
-    certified against the structure basis before being returned.  `_ctx`, a
-    _SolveContext of sb, lets the attempts of one `variety_points` call share
-    their real roots: the eliminant and the rational partials' polynomials
-    are isolated through it, as the spectra are.
+    A basis in shape position, whose eliminant f(x_v) (x_v the smallest
+    variable) has the quotient dimension as its degree, is read by
+    `shape_forms` as {f} + {x_j - q_j(x_v)}, and every coordinate comes from
+    the root of f alone (`_shape_points`).  Any other basis needs rational
+    branching and is worked stage by stage (`_stage_points`).  Every point
+    is certified against the structure basis before being returned.  `_ctx`,
+    a _SolveContext of sb, lets the attempts of one `variety_points` call
+    share their real roots: eliminants and the rational partials'
+    polynomials are isolated through it, as the spectra are.
     """
     ctx = _SolveContext(sb) if _ctx is None else _ctx
+    nv = rgb.target_order.nvars
+    eliminant, exprs = shape_forms(rgb, rgb.target_order.priority[-1])
+    if eliminant.degree == len(rgb.normal_set):
+        return _shape_points(ctx, eliminant, [exprs.get(j) for j in range(nv)])
+    return _stage_points(ctx, rgb)
+
+
+def _stage_points(ctx, rgb):
+    """The points of a lex basis, stage by stage from the smallest variable
+    up: real roots of the eliminant, then each next variable from the
+    generators that become univariate (branching when several roots
+    survive).  Once an irrational coordinate is on the stack only
+    solved-form generators x_j - g(smaller) are accepted, evaluated over the
+    box of the coordinates so far; anything else raises
+    NotTriangularEnough."""
     order = rgb.target_order
     nv = order.nvars
     gens = rgb.basis.generators
@@ -349,10 +413,9 @@ def _certify_point(ctx, coords):
     so on a rational point the check is exact and refines nothing)."""
     if not (coords[0].is_rational and coords[0].value == 1):
         raise InternalInvariantViolation("variety point has x0 != 1")
-    p = ctx.sb.scheme.tensor.p
 
     def verdict(values):
-        den, enclosures = _relation_enclosures(p, [c.interval() for c in values])
+        den, enclosures = _relation_enclosures(ctx.columns, [c.interval() for c in values])
         for (i, j), enc in enclosures.items():
             if not enc.contains(0):
                 raise InternalInvariantViolation(
@@ -364,21 +427,21 @@ def _certify_point(ctx, coords):
     return VarietyPoint(refine_until(coords, verdict, "residual certification"))
 
 
-def _relation_enclosures(p, box):
+def _relation_enclosures(columns, box):
     """(D, {(i, j): E}) for the structure relations x_i*x_j - sum_k p_ij^k x_k,
-    1 <= i <= j <= d, of the tensor p over a box of Intervals (x0 first, the
-    point 1).  D is the common denominator of the endpoints, and E is D^2 times
-    the relation's enclosure, evaluated on the integer box D*box: the product
-    (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each k (D x_0 = D
-    carries the constant term)."""
+    1 <= i <= j <= d, of the tensor over a box of Intervals (x0 first, the
+    point 1), with columns[i][j] the nonzero (k, p_ij^k) (`_sparse_columns`).
+    D is the common denominator of the endpoints, and E is D^2 times the
+    relation's enclosure, evaluated on the integer box D*box: the product
+    (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each nonzero p_ij^k
+    (D x_0 = D carries the constant term)."""
     den, scaled = _integer_box(box)
     out = {}
-    for i in range(1, len(p)):
-        for j in range(i, len(p)):
+    for i in range(1, len(columns)):
+        for j in range(i, len(columns)):
             enc = scaled[i].power(2) if i == j else scaled[i].mul(scaled[j])
-            for k, c in enumerate(p[i][j]):
-                if c:
-                    enc = enc.add(scaled[k].scale(-c * den))
+            for k, c in columns[i][j]:
+                enc = enc.add(scaled[k].scale(-c * den))
             out[i, j] = enc
     return den, out
 

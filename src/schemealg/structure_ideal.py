@@ -4,9 +4,11 @@ For a scheme with classes 0..d the ideal is generated by x_0 - 1 together
 with x_i*x_j - sum_k p_ij^k x_k (constants absorbed via x_0 = 1).  That set
 is a reduced Groebner basis for any total-degree order, with normal set
 {1, x_1, ..., x_d}, exactly when the tensor is associative.  This module
-certifies that integer identity, reads the multiplication matrices of the
-quotient algebra off the tensor (they are the intersection matrices), and
-writes the basis out as polynomials only when a caller asks for it.
+certifies that integer identity over the nonzero entries of the tensor
+(`_sparse_columns`, the one sparse view of it, which the solve and the
+Krylov walks read too), reads the multiplication matrices of the quotient
+algebra off the tensor (they are the intersection matrices), and writes the
+basis out as polynomials only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -65,18 +67,29 @@ def structure_basis(s: Scheme) -> StructureBasis:
     associative, i.e. broken.  The failure names the S-polynomial's normal
     form, sum_k (right_k - left_k) x_k: each x_t x_l has one reducer.
 
+    Both products are summed over the nonzero entries of the p_ij only
+    (`_sparse_columns`): (x_i x_j) x_l = sum_t p_ij^t x_t x_l, and
+    x_i (x_j x_l) = sum_t p_jl^t x_i x_t.
+
     Every lex or generic eliminant of a certified tensor is squarefree with
     real roots: the validated p_ij^0 = delta_ij k_i, k_i >= 1, make <a, b> =
     (x_0-coefficient of ab) positive definite, and commutativity with
     associativity make every real combination of the B_i self-adjoint for it
     (Bannai-Ito, Algebraic Combinatorics I, 2.2-2.3).
     """
-    d = s.d
-    p = s.tensor.p
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            for l in range(1, d + 1):
-                left, right = _products(p, i, j, l)
+    sb = StructureBasis(scheme=s)
+    columns = _sparse_columns(sb)
+    n = len(columns)
+    for i in range(1, n):
+        for j in range(i, n):
+            for l in range(1, n):
+                left, right = [0] * n, [0] * n
+                for t, a in columns[i][j]:
+                    for k, b in columns[t][l]:
+                        left[k] += a * b
+                for t, a in columns[j][l]:
+                    for k, b in columns[i][t]:
+                        right[k] += a * b
                 if left != right:
                     nf = _linear([b - a for a, b in zip(left, right)])
                     raise InternalInvariantViolation(
@@ -84,20 +97,15 @@ def structure_basis(s: Scheme) -> StructureBasis:
                         f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
                         f"offending reduction: {nf.render()}"
                     )
-    return StructureBasis(scheme=s)
+    return sb
 
 
-def _products(p, i, j, l):
-    """The coordinates of (x_i x_j) x_l and x_i (x_j x_l):
-    sum_t p_ij^t p_tl^k and sum_t p_jl^t p_it^k for every k."""
-    left, right = [0] * len(p), [0] * len(p)
-    for t in range(len(p)):
-        a, b = p[i][j][t], p[j][l][t]
-        if a:
-            left = [x + a * y for x, y in zip(left, p[t][l])]
-        if b:
-            right = [x + b * y for x, y in zip(right, p[i][t])]
-    return left, right
+def _sparse_columns(sb: StructureBasis):
+    """columns[i][m]: the nonzero entries (k, p_im^k) of column m of B_i,
+    which is the tensor's vector p[i][m], k ascending.  The one sparse view
+    of the tensor: the certificate, the solve context, the residual
+    enclosures and the Krylov walks read it."""
+    return [[[(k, a) for k, a in enumerate(col) if a] for col in pi] for pi in sb.scheme.tensor.p]
 
 
 def multiplication_matrix(sb: StructureBasis, i: int) -> QMatrix:

@@ -1,6 +1,7 @@
 """Shared test helpers: a tiny polynomial-literal parser, the Gauss-period
 oracle for orbit schemes, the distinct orbit tensors, the two-class tensors,
-Hamming and Johnson scheme builders, and scheme fixtures."""
+the random tensors of the seeded fuzz, Hamming and Johnson scheme builders,
+and scheme fixtures."""
 
 import itertools
 import math
@@ -112,6 +113,24 @@ def distinct_orbit_tensors(max_m):
                 s = orbit_scheme(m, r)
                 tensors.setdefault(s.tensor.p, s)
     return list(tensors.values())
+
+
+def random_tensor(rng):
+    """A tensor on n <= 4 classes with entries in -1..3: one in five ragged,
+    and half of the cubical ones with the class-0 slices of a scheme,
+    p_0j^k = p_j0^k = delta_jk, so that some pass the axioms."""
+    n = rng.randint(1, 4)
+    if rng.random() < 0.2:
+        return tuple(
+            tuple(tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 4)))
+            for _ in range(n)
+        )
+    p = [[[rng.randint(-1, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        for j in range(n):
+            for k in range(n):
+                p[0][j][k] = p[j][0][k] = int(j == k)
+    return tuple(tuple(map(tuple, pi)) for pi in p)
 
 
 def two_class_tensors(max_k):

@@ -10,7 +10,15 @@ from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from conftest import distinct_orbit_tensors, gauss_period_hits, hamming, johnson, parse_poly, two_class_tensors
+from conftest import (
+    distinct_orbit_tensors,
+    gauss_period_hits,
+    hamming,
+    johnson,
+    parse_poly,
+    random_tensor,
+    two_class_tensors,
+)
 
 from schemealg.errors import (
     AttemptsExhausted,
@@ -263,6 +271,32 @@ def test_rows_sort_with_one_compare_per_coordinate(m, r, monkeypatch):
     assert all(a is b for a, b in zip(by_first_difference, by_tuple, strict=True))
 
 
+@pytest.mark.parametrize("m, r, pairs, irrational", [(24, 23, 3, 52), (61, 3, 1, 36), (32, 7, 3, 12), (13, 5, 1, 9)])
+def test_q_entries_are_the_scaled_p_entries(m, r, pairs, irrational, monkeypatch):
+    # Q[i][nu] = m_nu P[nu][i] / k_i is RealRoot.scale of the P entry, value,
+    # interval and witness; the witness of each distinct (witness, factor)
+    # pair is scaled once per table, and the entries that share it share its
+    # object
+    calls = []
+    scale_argument = UniPoly.scale_argument
+    monkeypatch.setattr(UniPoly, "scale_argument", lambda p, c: calls.append((p.coeffs, c)) or scale_argument(p, c))
+    s = orbit_scheme(m, r)
+    table = character_table(s)
+    monkeypatch.undo()
+    mults = [q.value for q in table.Q[0]]  # Q[0][nu] = m_nu P[nu][0] / k_0 = m_nu
+    shared = {}  # (witness, factor) -> the witness objects of its Q entries
+    for i, k in enumerate(s.valencies):
+        for nu, row in enumerate(table.P):
+            got, want = table.Q[i][nu], row[i].scale(Fraction(mults[nu], k))
+            assert (got.value, got.low, got.high, got.poly) == (want.value, want.low, want.high, want.poly)
+            if not got.is_rational:
+                shared.setdefault((row[i].poly.coeffs, Fraction(mults[nu], k)), set()).add(id(got.poly))
+    assert sorted(calls) == sorted(shared)
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert len(shared) == pairs
+    assert sum(not q.is_rational for col in table.Q for q in col) == irrational
+
+
 # Linear axioms hold and the tensor associates, but class 2 would be a perfect
 # matching on 5 points: the multiplicities come out as 5/2 and 3/2.
 NON_INTEGRAL_MULTIPLICITIES = (
@@ -411,30 +445,12 @@ def test_p_polynomial_reports_a_non_squarefree_eliminant():
         check_p_polynomial(Scheme(IntersectionTensor(NILPOTENT)))
 
 
-def _random_tensor(rng):
-    """A tensor on n <= 4 classes with entries in -1..3: one in five ragged,
-    and half of the cubical ones with the class-0 slices of a scheme,
-    p_0j^k = p_j0^k = delta_jk, so that some pass the axioms."""
-    n = rng.randint(1, 4)
-    if rng.random() < 0.2:
-        return tuple(
-            tuple(tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 4)))
-            for _ in range(n)
-        )
-    p = [[[rng.randint(-1, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    if rng.random() < 0.5:
-        for j in range(n):
-            for k in range(n):
-                p[0][j][k] = p[j][0][k] = int(j == k)
-    return tuple(tuple(map(tuple, pi)) for pi in p)
-
-
 def test_random_tensors_end_in_a_typed_error_or_a_result():
     rng = random.Random(17)
     analysed = 0
     for _ in range(3000):
         try:
-            s = Scheme(IntersectionTensor(_random_tensor(rng)))
+            s = Scheme(IntersectionTensor(random_tensor(rng)))
         except SchemeAlgError:
             continue
         analysed += s.d >= 1
@@ -838,8 +854,9 @@ def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
 
 def test_character_table_isolates_each_distinct_polynomial_once(monkeypatch):
     # on orbit (61, 3) the six classes share one minimal polynomial, which is
-    # also the lex eliminant; the valency point's partial gives x - 10, and
-    # x - 1 is both its x0 polynomial and class 0's minimal polynomial
+    # also the lex eliminant, and x - 1 is class 0's; the lex basis is in
+    # shape position, so every coordinate, the valency point's 10 among them,
+    # is read off a spectrum and no other polynomial is isolated
     s = orbit_scheme(61, 3)
     columns = _sparse_columns(structure_basis(s))
     minimal = {_minimal_polynomial(columns, i).coeffs for i in range(s.d + 1)}
@@ -850,8 +867,8 @@ def test_character_table_isolates_each_distinct_polynomial_once(monkeypatch):
         lambda p, *args: calls.append(p.primitive().coeffs) or real_roots(p, *args),
     )
     assert character_table(s).size == 7
-    assert len(calls) == 3
-    assert set(calls) == minimal | {(-10, 1)}
+    assert len(calls) == 2
+    assert set(calls) == minimal
 
 
 def test_generic_element_many_seeds_terminate(ex2_scheme):

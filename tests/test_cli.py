@@ -411,9 +411,11 @@ def test_exit_2_tensor_over_the_class_limit(tmp_path):
 # sha256 of `chartab --format json` stdout on the ten rungs of the benchmark's
 # chartab-irrational ladder, and on four lex paths no rung takes: (20, 9) and
 # (52, 3) mix rational and irrational coordinates, and (8, 3) and (12, 5) are
-# all-rational without a shape basis.  The JSON report prints the isolating
-# interval of every irrational entry, so these pin the endpoints that root
-# isolation and certification produce, not only the values.
+# all-rational without a shape basis.  (40, 39), the cycle at d = 20, and
+# (61, 3) are solved through a lex basis in shape position.  The JSON report
+# prints the isolating interval of every irrational entry, so these pin the
+# endpoints that root isolation and certification produce, not only the
+# values.
 CHARTAB_JSON_SHA256 = {
     (8, 3): "656c72d4dcfdc87883ac9e7ad213345fc777e3a5369f48c3953e615a6b5a7e04",
     (10, 9): "258d8a5e3cb49bde0d1304b0cff4ab836ce4aad0b9bacdfabd1022cd9fd9feec",
@@ -427,6 +429,7 @@ CHARTAB_JSON_SHA256 = {
     (31, 5): "02ee670f42c283fc56f869cfd16c56690b00c3a86fa2b3e533ef378c1128ace3",
     (32, 7): "03b725bd149d9c36bbd9a0b98b71757f5b8e5d4a42799f3c12437c2cf579a098",
     (37, 10): "326ebf98ed642f493243752c1d44854845497c71c3c39edf815f198ae7f9694b",
+    (40, 39): "5ddabb4642716d098d72d695bd99a2cb38f01a052bf347196d4be98953aa91a8",
     (52, 3): "6cf55c7a92ac106754e42d255c949c6e2bd095b1f630052b20c1b8eb56cccf5a",
     (61, 3): "e518aadff69230440f171feb09b859a5f4e6eecff86fbbe977f42f63558e999d",
 }

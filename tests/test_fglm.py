@@ -10,13 +10,16 @@ import pytest
 from conftest import distinct_orbit_tensors, parse_basis, parse_poly
 
 from schemealg.analysis import find_generic_element, variety_points
-from schemealg.errors import InternalInvariantViolation, NotTriangularEnough
-from schemealg.exactmath import RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
+from schemealg.errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
+from schemealg.exactmath import Interval, QMatrix, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
 from schemealg.fglm import (
     ReducedGB,
     VarietyPoint,
     _certify_point,
+    _meeting,
+    _shape_points,
     _SolveContext,
+    _stage_points,
     fglm_convert,
     fglm_from_matrices,
     moller_stetter_check,
@@ -118,6 +121,15 @@ def test_fglm_from_matrices_linear_combination(ex2_scheme):
         4,
     )
     assert list(rgb.basis.generators) == expected
+
+
+def test_fglm_from_matrices_rejects_matrices_of_another_shape(ex1_scheme):
+    # the walk reads each matrix's columns once, so the shapes are checked
+    # before any is applied
+    sb = structure_basis(ex1_scheme)
+    mats = [multiplication_matrix(sb, i) for i in range(3)]
+    with pytest.raises(DimensionMismatch, match="^multiplication matrices must all be 3 x 3$"):
+        fglm_from_matrices(mats[:2] + [QMatrix(((1, 0), (0, 1)))], MonomialOrder.lex((0, 1, 2)))
 
 
 EX1_POINTS = [(1, -3, 2), (1, 0, -1), (1, 6, 2)]
@@ -305,6 +317,64 @@ def test_solve_context_isolates_associates_once(monkeypatch):
     assert len(calls) == 2
 
 
+def _ends_ascend(spectrum):
+    return all(a.low <= b.low and a.high <= b.high for a, b in zip(spectrum, spectrum[1:]))
+
+
+def test_meeting_bisection_matches_the_linear_scan():
+    # every spectrum of the distinct orbit tensors up to m = 24 as the solve
+    # reads it, and each one isolated but unrefined, where adjacent cells can
+    # share an endpoint; seeded enclosures between any two of the endpoints,
+    # values and random rationals, and the point at every endpoint and value
+    rng = random.Random(2501)
+    shared = rational = cases = 0
+    for s in distinct_orbit_tensors(24):
+        ctx = _SolveContext(structure_basis(s))
+        for i in range(s.d + 1):
+            fine, coarse = ctx.spectrum(i), tuple(real_roots(ctx.minimal_polynomial(i), precision=1))
+            assert _ends_ascend(fine)
+            # the witness walk's coarse cells may hold a rational root, which
+            # refining below DEFAULT_PRECISION separates, as in `fine`
+            for spectrum in (fine, coarse) if _ends_ascend(coarse) else (fine,):
+                ends = sorted({x for c in spectrum for x in (c.low, c.high)})
+                shared += any(a.high == b.low for a, b in zip(spectrum, spectrum[1:]))
+                top = abs(ends[0]) + abs(ends[-1]) + 1
+                points = ends + [Fraction(rng.randint(-(10**6), 10**6), 10**6) * top for _ in range(8)]
+                enclosures = [Interval.point(x) for x in ends]
+                enclosures += [Interval(*sorted(rng.sample(points, 2))) for _ in range(24)]
+                for enc in enclosures:
+                    expected = [c for c in spectrum if c.interval().intersect(enc) is not None]
+                    assert list(_meeting(spectrum, enc)) == expected, (spectrum, enc)
+                    rational += any(c.is_rational and enc.contains(c.value) for c in spectrum)
+                    cases += 1
+    assert (cases, shared, rational) == (17404, 20, 10024)
+
+
+def test_shape_kernel_matches_the_stage_walk():
+    # on every shape-position lex basis of the distinct orbit tensors up to
+    # m = 20, the univariate kernel and the stage walk give the same points,
+    # value, certified interval and witness, in the same order
+    shape = 0
+    for s in distinct_orbit_tensors(20):
+        sb = structure_basis(s)
+        for i in range(1, sb.nvars):
+            rgb = fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, i))
+            f, exprs = shape_forms(rgb, i)
+            if f.degree < sb.nvars:
+                continue
+            kernel = _shape_points(_SolveContext(sb), f, [exprs.get(j) for j in range(sb.nvars)])
+            walk = _stage_points(_SolveContext(sb), rgb)
+            assert [[_entry(c) for c in pt.coordinates] for pt in kernel] == [
+                [_entry(c) for c in pt.coordinates] for pt in walk
+            ]
+            shape += 1
+    assert shape == 89
+
+
+def _entry(c):
+    return c.value, c.low, c.high, None if c.poly is None else c.poly.coeffs
+
+
 def test_random_roundtrip_and_solve():
     rng = random.Random(99)
     seen = 0
@@ -421,8 +491,13 @@ def test_fglm_from_matrices_matches_the_fraction_reference():
     # rational input, B_i scaled by 1/(i+1), whose vectors mix int,
     # Fraction(x, 1) and proper fractions; and walks that pop many border
     # monomials: (40, 39) with x1 smallest and in degree order, and every
-    # lex order of (25, 4) and (32, 7), which have no shape basis.
-    cases = []
+    # lex order of (25, 4) and (32, 7), which have no shape basis.  A scheme's
+    # B_i is conjugate to its transpose by the valencies, which keeps every
+    # dependency, so Q[x]/(x^3) on (1, x, x^2), whose x is nilpotent, checks
+    # that the walk applies columns.
+    x = QMatrix(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    nilpotent = [QMatrix.identity(3), x, x @ x]
+    cases = [(nilpotent, MonomialOrder.lex_smallest(3, 1)), (nilpotent, MonomialOrder.degree(3))]
     for s in distinct_orbit_tensors(18):
         sb = structure_basis(s)
         nv = sb.nvars

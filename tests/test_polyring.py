@@ -15,7 +15,7 @@ from schemealg.polyring import (
     normal_form,
 )
 from schemealg.scheme import orbit_scheme
-from schemealg.structure_ideal import structure_basis
+from schemealg.structure_ideal import _sparse_columns, structure_basis
 
 from conftest import parse_basis, parse_poly
 
@@ -129,10 +129,11 @@ class TestMPoly:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluate_interval_matches_the_fraction_loop(self, seed):
-        # evaluate_interval is the term-by-term Fraction loop; residual
-        # certification encloses the same relations on the integer box D*box,
-        # read off the tensor, and divided by D^2 must give the same rationals
-        # (a square by power(2), the linear terms scaled by D)
+        # evaluate_interval is the term-by-term Fraction loop over every
+        # term of the written-out relation; residual certification encloses
+        # the same relations on the integer box D*box, read off the nonzero
+        # entries of the tensor, and divided by D^2 must give the same
+        # rationals (a square by power(2), the linear terms scaled by D)
         m, r = [(5, 4), (13, 5), (16, 15), (25, 4)][seed]
         sb = structure_basis(orbit_scheme(m, r))
         order = sb.basis.order
@@ -153,7 +154,7 @@ class TestMPoly:
                     ivs.append(Interval(-abs(rational()), abs(rational())))
                 else:
                     ivs.append(Interval(*sorted((rational(), rational()))))
-            den, enclosures = _relation_enclosures(sb.scheme.tensor.p, ivs)
+            den, enclosures = _relation_enclosures(_sparse_columns(sb), ivs)
             assert len(enclosures) == len(sb.basis) - 1
             for (i, j), enc in enclosures.items():
                 g = generator[Monomial.variable(i, sb.nvars).mul(Monomial.variable(j, sb.nvars))]

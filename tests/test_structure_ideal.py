@@ -4,9 +4,9 @@ idempotent equations, and radicality."""
 import random
 
 import pytest
-from conftest import parse_basis, two_class_tensors
+from conftest import parse_basis, random_tensor, two_class_tensors
 
-from schemealg.errors import InternalInvariantViolation, NotConstantIntersectionNumber
+from schemealg.errors import InternalInvariantViolation, NotConstantIntersectionNumber, SchemeAlgError
 from schemealg.exactmath import QMatrix
 from schemealg.polyring import Monomial, MonomialOrder, MPoly, PolyBasis, is_groebner, normal_form
 from schemealg.scheme import IntersectionTensor, Scheme, intersection_matrices, orbit_scheme
@@ -329,3 +329,54 @@ def test_random_schemes_structure_properties():
         mats = intersection_matrices(s)
         for i in range(s.d + 1):
             assert multiplication_matrix(sb, i) == mats[i]
+
+
+def _products(p, i, j, l):
+    """Dense reference rows: the coordinates of (x_i x_j) x_l and
+    x_i (x_j x_l), sum_t p_ij^t p_tl^k and sum_t p_jl^t p_it^k for every k."""
+    left, right = [0] * len(p), [0] * len(p)
+    for t in range(len(p)):
+        a, b = p[i][j][t], p[j][l][t]
+        if a:
+            left = [x + a * y for x, y in zip(left, p[t][l])]
+        if b:
+            right = [x + b * y for x, y in zip(right, p[i][t])]
+    return left, right
+
+
+def _dense_failure(p):
+    """The certificate over dense `_products` rows, in the loop order of
+    structure_basis: None, or the message of the first failing triple."""
+    n = len(p)
+    for i in range(1, n):
+        for j in range(i, n):
+            for l in range(1, n):
+                left, right = _products(p, i, j, l)
+                if left != right:
+                    nf = structure_ideal._linear([b - a for a, b in zip(left, right)])
+                    return (
+                        f"structure relations are not a Groebner basis: "
+                        f"(x{i}*x{j})*x{l} != x{i}*(x{j}*x{l}); "
+                        f"offending reduction: {nf.render()}"
+                    )
+    return None
+
+
+def test_sparse_certificate_matches_the_dense_rows_on_the_fuzz():
+    # the seeded 3000-tensor fuzz of the entry points, plus the perturbed
+    # orbit tensors: the certificate over the nonzero entries accepts or
+    # rejects exactly when the dense rows do, with the same message
+    rng = random.Random(17)
+    tensors = []
+    for _ in range(3000):
+        try:
+            tensors.append(IntersectionTensor(random_tensor(rng)).p)
+        except SchemeAlgError:
+            pass
+    tensors += _perturbed_orbit_tensors(20260101) + [CONSTANT_TERMS_ASSOCIATE]
+    failing = 0
+    for p in tensors:
+        expected = _dense_failure(p)
+        assert _failure(p) == expected, p
+        failing += expected is not None
+    assert (len(tensors), failing) == (473, 59)
