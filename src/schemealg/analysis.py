@@ -7,8 +7,9 @@ property from the shape of the lex basis, expressions of classes in a
 chosen subset from the solved forms of a block-lex basis, and "generic"
 elements (single matrices whose eigenvalues separate the whole spectrum)
 from random coordinate changes that never re-run any Groebner computation:
-each candidate is decided by a Krylov walk, and only the separating one is
-converted.
+each candidate is decided by one walk over the powers of its matrix, and
+the separating one is read off that walk by the shape lemma, with no
+conversion.
 
 Minimal generating sets are the one exception: whether a class set generates
 depends only on the dimension of the subalgebra its intersection matrices
@@ -44,18 +45,18 @@ from .fglm import (  # noqa: F401
     _algebraic_value,
     _certify_point,
     _krylov,
+    _power_walk,
     _shape_points,
     _SolveContext,
     fglm_convert,
-    fglm_from_matrices,
     moller_stetter_check,
     shape_forms,
     solve_triangular,
     solved_forms,
 )
-from .polyring import MonomialOrder
+from .polyring import Monomial, MonomialOrder, MPoly, PolyBasis
 from .scheme import Scheme
-from .structure_ideal import StructureBasis, _sparse_columns, multiplication_matrix, structure_basis
+from .structure_ideal import StructureBasis, _sparse_columns, structure_basis
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def variety_points(sb: StructureBasis, *, _ctx=None):
             return solve_triangular(rgb, sb, _ctx=ctx)
         except NotTriangularEnough:
             continue
-    ge = _generic_element(sb, rng_seed=0, max_coeff=10, max_attempts=32)
+    ge = _generic_element(ctx.columns, rng_seed=0, max_coeff=10, max_attempts=32)
     return _points_from_generic(ctx, ge)
 
 
@@ -432,12 +433,14 @@ def _closure_size(columns, subset):
 
 @dataclass(frozen=True)
 class GenericElement:
-    """An integer combination of the classes with d+1 distinct eigenvalues.
+    """An integer combination y of the classes with d+1 distinct eigenvalues.
 
-    coefficients[v] is the weight of class v; eliminant is the monic degree
-    d+1 minimal polynomial of the combination, squarefree by `structure_basis`;
-    and expressions[j] recovers class j from an eigenvalue, so the whole
-    variety is parametrized by the eliminant's roots.
+    coefficients[v] is the weight of class v; eliminant is the monic minimal
+    polynomial f of y, of degree d+1 and squarefree by `structure_basis`;
+    expressions[j] is the q_j, deg q_j <= d, with B_j = q_j(y), so the roots
+    of f parametrize the variety; basis is the lex basis of Q[x_0..x_{d-1}, y]
+    (y in x_d's slot, smallest) by the shape lemma: f(y), x_{d-1} - q_{d-1}(y),
+    ..., x_0 - q_0(y), with normal set 1, y, ..., y^d.
     """
 
     coefficients: tuple
@@ -448,84 +451,74 @@ class GenericElement:
 
 
 def find_generic_element(s: Scheme, rng_seed=0, max_coeff=10, max_attempts=32) -> GenericElement:
-    return _generic_element(structure_basis(s), rng_seed, max_coeff, max_attempts)
+    return _generic_element(_sparse_columns(structure_basis(s)), rng_seed, max_coeff, max_attempts)
 
 
-def _generic_element(sb: StructureBasis, rng_seed, max_coeff, max_attempts):
+def _generic_element(columns, rng_seed, max_coeff, max_attempts):
     """Hunt for a separating linear combination by repeated coordinate changes.
 
-    Starts from the last class alone, y = B_d.  Each candidate
-    y = sum_v lam_v B_v is decided by `_unsolved_classes`, one Krylov walk
-    and no conversion.  After each failed try, the smallest class with no
-    solved form gets a random positive weight added.  Only the separating
-    candidate is converted: a linear change of the last coordinate only
-    changes its multiplication matrix to the matching linear combination,
-    so the conversion is linear algebra, never a new Groebner computation.
-    x_d = y - sum_v lam_v q_v(y) is taken modulo the eliminant: that changes
-    nothing for d >= 1 (degree d < d+1) and gives x_0 = 1 when d = 0.
+    Starts from the last class alone, y = B_d, with `columns` the
+    `_sparse_columns` of the structure basis.  Each candidate
+    y = sum_v lam_v B_v takes one `fglm._power_walk` and no conversion: y
+    separates when its minimal polynomial has degree d+1, and is then read
+    off the walk (`_shape_lemma`); otherwise the smallest of its
+    `_unsolved_classes` gets a random positive weight added.
     """
-    nv = sb.nvars
-    d = nv - 1
-    columns = _sparse_columns(sb)
+    n = len(columns)
     rng = random.Random(rng_seed)
-    lam = [0] * d + [1]
+    lam = [0] * (n - 1) + [1]
     changes = []
-    while missing := _unsolved_classes(columns, lam):
+    while True:
+        f, echelon = _power_walk(_combined_columns(columns, lam))
+        if f.degree == n:
+            return GenericElement(tuple(lam), tuple(changes), *_shape_lemma(f, echelon))
         if len(changes) >= max_attempts:
             raise AttemptsExhausted(
                 f"no separating combination found after {max_attempts} coordinate changes"
             )
-        v = missing[0]
+        v = _unsolved_classes(echelon, n)[0]
         c = rng.randint(1, max_coeff)
         lam[v] += c
         changes.append((v, c))
-    mats = [multiplication_matrix(sb, i) for i in range(nv)]
-    eff_last = mats[d]
-    for v, c in changes:
-        eff_last = eff_last + mats[v].scale(c)
-    rgb = fglm_from_matrices(mats[:d] + [eff_last], MonomialOrder.lex(tuple(range(nv))))
-    elim, exprs = shape_forms(rgb, d)
-    last = UniPoly.monomial(1)
-    for v in range(d):
-        last = last - exprs[v] * lam[v]
-    return GenericElement(
-        coefficients=tuple(lam),
-        changes=tuple(changes),
-        eliminant=elim,
-        expressions=tuple(exprs[j] for j in range(d)) + (last % elim,),
-        basis=rgb,
-    )
 
 
-def _unsolved_classes(columns, lam):
-    """The classes j < d, ascending, with no solved form x_j - q_j(y) in the
-    lex basis of Q[x_0..x_{d-1}, y], y = sum_v lam_v B_v the smallest
-    variable, the basis `_generic_element` converts to.
-
-    `columns` is `structure_ideal._sparse_columns` of the structure basis.
-    x_j has a solved form exactly when e_j = B_j e_0 lies in span{y^k e_0}:
-    the powers of y are the smallest monomials, so the staircase holds every
-    y^k the span needs, and the normal form of x_j is then q_j(y).  One
-    `fglm._krylov` walk of e_0 under the combined sparse columns of y spans
-    it, and e_j lies in it exactly when `_reduce_row` takes e_j to 0.  When
-    the walk reaches d+1 rows, y separates and no class is unsolved."""
-    n = len(columns[0])
+def _combined_columns(columns, lam):
+    """The sparse columns of y = sum_v lam_v B_v, in the form of `columns`."""
     combined = []
-    for m in range(n):
+    for m in range(len(columns)):
         acc = {}
         for v, c in enumerate(lam):
             if c:
                 for k, a in columns[v][m]:
                     acc[k] = acc.get(k, 0) + c * a
         combined.append([(k, a) for k, a in acc.items() if a])
-    echelon = {0: (1,) + (0,) * (n - 1)}
-    for row, pivot in _krylov([combined], (0,), echelon[0]):
-        if pivot is not None:
-            echelon[pivot] = row
-    if len(echelon) == n:
-        return []
-    return [
-        j
-        for j in range(1, n - 1)
-        if _reduce_row(echelon, [int(k == j) for k in range(n)], n)[1] is not None
+    return combined
+
+
+def _unsolved_classes(echelon, n):
+    """The classes 0 < j < d = n - 1 with no solved form x_j - q_j(y) in the
+    lex basis with y smallest: those whose e_j keeps a pivot against y's
+    `fglm._power_walk` echelon, so lies outside span{y^k e_0}."""
+    return [j for j in range(1, n - 1) if _reduce_row(echelon, [int(k == j) for k in range(n)], n)[1] is not None]
+
+
+def _shape_lemma(f, echelon):
+    """(eliminant, expressions, basis) of y from its minimal polynomial f, of
+    degree n = d+1, and its `fglm._power_walk` echelon.  Each q_j, x_d's too,
+    is read by reducing [e_j | 0 ... 0 | 1] to head 0: no echelon row uses
+    tail slot n, so the tail is -s * q_j with s in slot n."""
+    n = f.degree
+    exprs = []
+    for j in range(n):
+        w = [0] * (2 * n + 1)
+        w[j] = w[-1] = 1
+        row, _ = _reduce_row(echelon, w, n)
+        exprs.append(UniPoly(Fraction(-c, row[-1]) for c in row[n:-1]))
+    f = f.monic()
+    powers = [Monomial((0,) * (n - 1) + (k,)) for k in range(n + 1)]  # y^k, y in x_d's slot
+    gens = [MPoly(n, zip(powers, f.coeffs))] + [
+        MPoly(n, [(Monomial.variable(j, n), 1), *zip(powers, (-c for c in exprs[j].coeffs))])
+        for j in reversed(range(n - 1))
     ]
+    order = MonomialOrder.lex(tuple(range(n)))
+    return f, tuple(exprs), ReducedGB(PolyBasis(gens, order), tuple(powers[:n]), order)

@@ -699,7 +699,8 @@ def real_roots(p, precision=DEFAULT_PRECISION):
     p is reduced to its primitive squarefree part q, which `_isolate` walks
     once.  When irrational roots are left, the rational ones are divided out
     and the witness left is walked once more, so that its isolating
-    intervals are cells of its own grid; they are refined below `precision`.
+    intervals are cells of its own grid; they are refined below `precision`,
+    and on while a closed cell holds a rational root.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
@@ -716,9 +717,13 @@ def real_roots(p, precision=DEFAULT_PRECISION):
         q //= math.prod(UniPoly((-r.numerator, r.denominator)) for r in rationals)  # primitive: Gauss
         _, intervals = _isolate(q, _sturm_chain(q, q.derivative()))
     roots = [RealRoot.rational(r) for r in rationals]
-    roots.extend(RealRoot.isolated(q, lo, hi).refine(precision) for lo, hi in intervals)
-    # Distinct roots coming out of one isolation run have disjoint intervals,
-    # so midpoints order them correctly (rationals are points).
+    for lo, hi in intervals:
+        r = RealRoot.isolated(q, lo, hi).refine(precision)
+        while any(r.low <= a <= r.high for a in rationals):  # a is not a root of q
+            r = r.refine(r.width)
+        roots.append(r)
+    # The irrational cells come from one walk of q (interiors disjoint) and
+    # hold no rational root, so midpoints order the roots correctly.
     roots.sort(key=lambda r: r.interval().midpoint())
     return roots
 

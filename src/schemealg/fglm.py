@@ -6,10 +6,11 @@ coordinate vectors; no polynomial division in the target order is ever
 needed.  The walk keeps the new normal set, an order ideal, as one dict,
 applies each matrix through the nonzero entries of its columns (`_apply`),
 and finds the dependencies by fraction-free integer elimination, the
-`exactmath._reduce_row` kernel that `_krylov`, the one closure walk of e_0
-under the multiplication matrices, uses too: it gives the minimal
-polynomials whose roots are the spectra, the mingen closure and the
-generic-element decisions.
+`exactmath._reduce_row` kernel of two more walks.  `_power_walk` is this
+walk restricted to the powers y^k e_0 of one element: it gives the minimal
+polynomials whose roots are the spectra, and the generic element with its
+shape-lemma basis.  `_krylov`, the closure of e_0 under several matrices,
+decides the mingen candidates.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
@@ -198,30 +199,20 @@ def _apply(columns, vec):
 
 
 def _krylov(columns, subset, start):
-    """The closure walk of the integer row `start` (its head e_0) under the
-    B_i, i in `subset`, read off `_sparse_columns`.
-
-    Each round applies every B_i of the subset to the head of each row the
-    previous round added, reduces the product against an integer echelon
-    keyed by pivot with `exactmath._reduce_row` (the fraction-free kernel
-    `fglm_from_matrices` uses too) and yields the reduced (row, pivot); a
-    row with a pivot joins the echelon and the next round.  Past the head a
-    row may carry a polynomial tail q (coefficients ascending) with head
-    q(B_i) e_0 for the one class i: the product's tail is x*q, and
-    `_reduce_row` keeps the two in step.  The walk ends when a round adds no
-    row; a consumer may stop it sooner."""
+    """The closure walk of the integer vector `start` (e_0) under the B_i,
+    i in `subset`, read off `_sparse_columns`.  Each round applies every B_i
+    of the subset to each row the previous round added, reduces the product
+    by `exactmath._reduce_row` and yields (row, pivot); a row with a pivot
+    joins the echelon and the next round.  The walk ends when a round adds
+    no row; a consumer may stop it sooner."""
     n = len(columns[0])
     echelon = {0: start}
     new = [start]
     while new:
         added = []
         for u in new:
-            tail = u[n:]
             for i in subset:
-                w = _apply(columns[i], u)
-                if tail:
-                    w += (0, *tail[:-1])
-                w, pivot = _reduce_row(echelon, w, n)
+                w, pivot = _reduce_row(echelon, _apply(columns[i], u), n)
                 yield w, pivot
                 if pivot is not None:
                     echelon[pivot] = w
@@ -229,22 +220,34 @@ def _krylov(columns, subset, start):
         new = added
 
 
+def _power_walk(ycols):
+    """(g, echelon): the walk of `fglm_from_matrices` over the powers of one
+    element Y alone, given by its sparse columns (`_apply`).  Row k is
+    [Y^k e_0 | unit k], n + 1 tail slots, reduced by `_reduce_row`; a row with
+    a pivot joins `echelon` (slot n stays 0 in it), and the first with head 0
+    has Y's minimal polynomial g as its tail, primitive and squarefree (see
+    `structure_basis`): g(Y) e_0 = 0 suffices, as e_0 is the identity."""
+    n = len(ycols)
+    echelon = {}
+    vec = [1] + [0] * (n - 1)
+    for k in range(n + 1):
+        w = vec + [0] * (n + 1)
+        w[n + k] = 1
+        row, pivot = _reduce_row(echelon, w, n)
+        if pivot is None:
+            return UniPoly(row[n:]).primitive(), echelon
+        echelon[pivot] = row
+        vec = _apply(ycols, vec)
+
+
 def _minimal_polynomial(columns, i):
-    """The minimal polynomial of B_i, primitive: the first dependency among
-    e_0, B_i e_0, B_i^2 e_0, ..., the tail of the first `_krylov` row of the
-    class whose head reduces to 0.  g(B_i) e_0 = 0 is enough, as e_0 is the
-    identity and the B commute: g(B_i) e_j = B_j g(B_i) e_0 = 0.  B_i is
-    diagonalizable (see `structure_basis`), so this is the squarefree part of
-    its characteristic polynomial, with the same zero set."""
-    n = len(columns[0])
-    start = (1,) + (0,) * (n - 1) + (1,) + (0,) * n
-    row = next(w for w, pivot in _krylov(columns, (i,), start) if pivot is None)
-    return UniPoly(row[n:]).primitive()
+    """The minimal polynomial of B_i, primitive: `_power_walk` of its columns."""
+    return _power_walk(columns[i])[0]
 
 
 class _SolveContext:
     """What one structure basis gives every solve that reads it, computed
-    once: the sparse columns, each class's minimal polynomial (its Krylov
+    once: the sparse columns, each class's minimal polynomial (its power
     walk) and the real roots of each distinct polynomial.
 
     `roots(p)` memoises `real_roots` by the coefficients of p's primitive
@@ -299,13 +302,12 @@ def _algebraic_value(ctx, values, enclosure, var):
 def _meeting(spectrum, enc):
     """The members of `spectrum` whose intervals meet the Interval `enc`.
 
-    A spectrum is `real_roots` at DEFAULT_PRECISION: sorted, its irrational
-    members isolated by one walk of their witness (interiors disjoint) and
-    refined below 10^-30, so a rational member lies in an irrational one's
-    cell only if the two roots are closer than that.  So both ends ascend
-    along it and the members that meet `enc` are consecutive: a bisection
-    finds the first one whose upper end reaches enc.lo, and the run ends
-    before the first lower end past enc.hi."""
+    A spectrum is `real_roots` of one polynomial: sorted, its irrational
+    members isolated by one walk of their witness (interiors disjoint, ends
+    possibly shared) and no rational member in an irrational one's closed
+    cell.  So both ends ascend along it and the members that meet `enc` are
+    consecutive: a bisection finds the first one whose upper end reaches
+    enc.lo, and the run ends before the first lower end past enc.hi."""
     first = last = bisect_left(spectrum, enc.lo, key=_HIGH)
     while last < len(spectrum) and spectrum[last].low <= enc.hi:
         last += 1

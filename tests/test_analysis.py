@@ -40,9 +40,11 @@ from schemealg.analysis import (
     minimal_generating_sets,
     variety_points,
     _closure_size,
+    _combined_columns,
     _compare_points,
     _generates,
     _points_from_generic,
+    _shape_lemma,
     _sparse_columns,
     _trace_sums_vanish,
     _unsolved_classes,
@@ -56,6 +58,7 @@ from schemealg.scheme import (
 )
 from schemealg.fglm import (
     _minimal_polynomial,
+    _power_walk,
     _SolveContext,
     fglm_convert,
     fglm_from_matrices,
@@ -341,7 +344,8 @@ def test_trivial_scheme():
     rep = check_p_polynomial(s)
     assert rep.is_p_polynomial
     assert minimal_generating_sets(s) == ((),)
-    # the generic element runs the general loop: x_0 = y mod (y - 1) = 1
+    # the generic element runs the general loop: x_0 is read off the power
+    # walk of y = B_0 as 1, the root of y - 1
     ge = find_generic_element(s)
     assert ge.coefficients == (1,)
     assert ge.changes == ()
@@ -800,33 +804,31 @@ ORBIT_32_7_CHANGES = ((1, 7), (2, 7), (1, 1), (4, 5))
 
 @pytest.mark.parametrize("max_attempts", range(5))
 def test_generic_element_spends_exactly_its_attempt_budget(monkeypatch, max_attempts):
-    # one Krylov decision for the first candidate, then one per coordinate
-    # change; only the separating candidate is converted
-    decisions, conversions = [], []
+    # one power walk for the first candidate, then one per coordinate change;
+    # the separating candidate is read off its walk, with no conversion
+    walks = []
     monkeypatch.setattr(
-        "schemealg.analysis._unsolved_classes",
-        lambda columns, lam: decisions.append(tuple(lam)) or _unsolved_classes(columns, lam),
+        "schemealg.analysis._power_walk",
+        lambda ycols: walks.append(ycols) or _power_walk(ycols),
     )
-    monkeypatch.setattr(
-        "schemealg.analysis.fglm_from_matrices",
-        lambda *args: conversions.append(args) or fglm_from_matrices(*args),
-    )
+    monkeypatch.setattr("schemealg.fglm.fglm_from_matrices", lambda *args: pytest.fail("converted"))
     s = orbit_scheme(32, 7)
     if max_attempts < len(ORBIT_32_7_CHANGES):
         message = f"^no separating combination found after {max_attempts} coordinate changes$"
         with pytest.raises(AttemptsExhausted, match=message):
             find_generic_element(s, max_attempts=max_attempts)
-        assert conversions == []
     else:
         assert find_generic_element(s, max_attempts=max_attempts).changes == ORBIT_32_7_CHANGES
-        assert len(conversions) == 1
-    assert len(decisions) == max_attempts + 1
+    assert len(walks) == max_attempts + 1
 
 
 def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
-    # the classes `_unsolved_classes` reports are those with no solved form in
-    # the lex basis that `_generic_element` would convert to: the last class
-    # alone, then three seeded combinations, on every distinct tensor
+    # the reference is the lex conversion of Q[x_0..x_{d-1}, y] with
+    # y = sum_v lam_v B_v smallest: the classes `_unsolved_classes` reads off
+    # the power walk of y are those with no solved form in it, and on a
+    # separating y `_shape_lemma` gives its eliminant, solved forms and basis
+    # (x_d's form is y - sum_v lam_v q_v(y) mod f); the last class alone,
+    # then three seeded combinations, on every distinct tensor
     rng = random.Random(24)
     cases = separating = 0
     for s in distinct_orbit_tensors(24):
@@ -843,11 +845,18 @@ def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
             for v in range(d):
                 last = last + mats[v].scale(lam[v])
             rgb = fglm_from_matrices(mats[:d] + [last], MonomialOrder.lex(tuple(range(d + 1))))
-            _, exprs = shape_forms(rgb, d)
+            elim, exprs = shape_forms(rgb, d)
             missing = [j for j in range(d) if j not in exprs]
-            assert _unsolved_classes(columns, lam) == missing, (s.tensor.p, lam)
+            f, echelon = _power_walk(_combined_columns(columns, lam))
+            assert _unsolved_classes(echelon, d + 1) == missing, (s.tensor.p, lam)
             cases += 1
-            separating += not missing
+            if not missing:
+                separating += 1
+                x_d = UniPoly.monomial(1)
+                for v in range(d):
+                    x_d = x_d - exprs[v] * lam[v]
+                expected = (elim, tuple(exprs[j] for j in range(d)) + (x_d % elim,), rgb)
+                assert _shape_lemma(f, echelon) == expected, (s.tensor.p, lam)
     assert cases == 212
     assert 0 < separating < cases
 

@@ -371,15 +371,16 @@ class TestRealRoots:
             assert [r.value for r in roots if r.is_rational] == [
                 Fraction(int(t.p), int(t.q)) for t in truth if t.is_Rational
             ]
-            # the witness holds every irrational root, so its isolating
-            # interval may also hold a rational root of p, never another
-            # irrational one
+            # the witness holds every irrational root, and its isolating
+            # interval is refined until its closed cell holds no rational
+            # root of p, even at the coarse widths
             irrational = [t for t in truth if not t.is_Rational]
             for r in roots:
                 if r.is_rational:
                     continue
                 lo, hi = sympy.Rational(r.low), sympy.Rational(r.high)
                 assert sum(1 for t in irrational if lo < t < hi) == 1
+                assert not any(lo <= t <= hi for t in truth if t.is_Rational)
                 assert r.width < width
                 w = sympy.Poly(list(reversed(r.poly.coeffs)), x)
                 assert w.LC() > 0 and w.is_primitive and w.is_sqf

@@ -17,6 +17,7 @@ from schemealg.fglm import (
     VarietyPoint,
     _certify_point,
     _meeting,
+    _minimal_polynomial,
     _shape_points,
     _SolveContext,
     _stage_points,
@@ -28,7 +29,7 @@ from schemealg.fglm import (
 )
 from schemealg.polyring import Monomial, MonomialOrder, MPoly, PolyBasis, normal_form
 from schemealg.scheme import orbit_scheme
-from schemealg.structure_ideal import multiplication_matrix, structure_basis
+from schemealg.structure_ideal import _sparse_columns, multiplication_matrix, structure_basis
 
 # frozen conversions, in ascending leading-term order under the target
 
@@ -332,10 +333,8 @@ def test_meeting_bisection_matches_the_linear_scan():
         ctx = _SolveContext(structure_basis(s))
         for i in range(s.d + 1):
             fine, coarse = ctx.spectrum(i), tuple(real_roots(ctx.minimal_polynomial(i), precision=1))
-            assert _ends_ascend(fine)
-            # the witness walk's coarse cells may hold a rational root, which
-            # refining below DEFAULT_PRECISION separates, as in `fine`
-            for spectrum in (fine, coarse) if _ends_ascend(coarse) else (fine,):
+            for spectrum in (fine, coarse):
+                assert _ends_ascend(spectrum)
                 ends = sorted({x for c in spectrum for x in (c.low, c.high)})
                 shared += any(a.high == b.low for a, b in zip(spectrum, spectrum[1:]))
                 top = abs(ends[0]) + abs(ends[-1]) + 1
@@ -347,7 +346,29 @@ def test_meeting_bisection_matches_the_linear_scan():
                     assert list(_meeting(spectrum, enc)) == expected, (spectrum, enc)
                     rational += any(c.is_rational and enc.contains(c.value) for c in spectrum)
                     cases += 1
-    assert (cases, shared, rational) == (17404, 20, 10024)
+    assert (cases, shared, rational) == (19343, 67, 10768)
+
+
+def test_coarse_spectra_keep_rational_roots_out_of_the_irrational_cells():
+    # once narrower than 1, the witness walk's cell of an irrational root
+    # still holds a rational root of the class polynomial in 15 of the 340
+    # (rational, irrational) pairs here; real_roots refines such cells on,
+    # so the members are sorted, each interval wholly below the next
+    polys = set()
+    for s in distinct_orbit_tensors(24):
+        columns = _sparse_columns(structure_basis(s))
+        polys.update(_minimal_polynomial(columns, i) for i in range(s.d + 1))
+    pairs = 0
+    for p in polys:
+        roots = real_roots(p, precision=1)
+        rationals = [r.value for r in roots if r.is_rational]
+        for r in roots:
+            if not r.is_rational:
+                assert r.width < 1
+                assert not any(r.low <= a <= r.high for a in rationals), (p, r)
+                pairs += len(rationals)
+        assert all(a.high <= b.low for a, b in zip(roots, roots[1:])), p
+    assert (len(polys), pairs) == (55, 340)
 
 
 def test_shape_kernel_matches_the_stage_walk():
