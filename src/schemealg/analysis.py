@@ -1,17 +1,18 @@
 """Spectral analysis of association schemes through their structure ideals.
 
-Everything here rides on the same pipeline: convert the structure basis to a
-pure-lex basis, solve it exactly, and read scheme-theoretic facts off the
-variety — the character table from the points themselves, the P-polynomial
-property from the shape of the lex basis, expressions of classes in a
-chosen subset from the solved forms of a block-lex basis, and "generic"
-elements (single matrices whose eigenvalues separate the whole spectrum)
-from random coordinate changes that never re-run any Groebner computation:
-each candidate is decided by one walk over the powers of its matrix, and
-the separating one is read off that walk by the shape lemma, with no
-conversion.
+One walk does most of the work here: the FGLM walk over the powers of a
+single element, `fglm._power_walk`.  It gives the element's minimal
+polynomial; when that has degree d+1 the lex basis with the element smallest
+is in shape position, and the shape lemma reads each class off the walk as a
+polynomial in the element (`_shape_lemma`, `_shape_basis`).  The
+P-polynomial property is the degree sequence of these polynomials for some
+class, and "generic" elements (single matrices whose eigenvalues separate
+the whole spectrum) are found by random coordinate changes, each candidate
+decided by its walk, with no Groebner computation.  The character table
+comes from the variety points of a pure-lex conversion, and expressions of
+classes in a subset from the solved forms of a block-lex basis.
 
-Minimal generating sets are the one exception: whether a class set generates
+Minimal generating sets are decided otherwise: whether a class set generates
 depends only on the dimension of the subalgebra its intersection matrices
 span, so `minimal_generating_sets` decides each candidate by an integer
 closure of e_0 under those matrices and runs no conversion.  Its cost grows
@@ -43,14 +44,13 @@ from .exactmath import Interval, RealRoot, UniPoly, _reduce_row, refine_until
 from .fglm import (  # noqa: F401
     ReducedGB,
     _algebraic_value,
+    _apply,
     _certify_point,
-    _krylov,
     _power_walk,
     _shape_points,
     _SolveContext,
     fglm_convert,
     moller_stetter_check,
-    shape_forms,
     solve_triangular,
     solved_forms,
 )
@@ -284,8 +284,9 @@ class PPolyReport:
     """Outcome of the P-polynomial test.
 
     On success: the class whose powers generate everything, the relabeling
-    sending each class to its distance (class -> new index), and the lex
-    basis that witnesses it.  On failure: one diagnostic per tried class.
+    sending each class to its distance (class -> new index), the lex basis
+    with that class smallest that witnesses it, and its eliminant, the
+    class's minimal polynomial.  On failure: one diagnostic per tried class.
     """
 
     is_p_polynomial: bool
@@ -299,39 +300,37 @@ class PPolyReport:
 def check_p_polynomial(s: Scheme) -> PPolyReport:
     """Decide whether some class makes the scheme P-polynomial (metric).
 
-    For each candidate class i the structure basis is converted to pure lex
-    with x_i smallest; the scheme is metric with respect to i exactly when
-    every other class is a polynomial in class i with the degree sequence of
-    a distance ordering (one class at each degree 2..d).  The eliminant is
-    squarefree by `structure_basis`, so only these degrees can fail.
+    The scheme is metric with respect to class i exactly when the lex basis
+    with x_i smallest is {f(x_i)} + {x_j - q_j(x_i)} (shape position) and the
+    q_j have the degree sequence of a distance ordering, one class at each
+    degree 2..d.  In shape position FGLM visits only the powers of x_i, so
+    each class takes one `fglm._power_walk`, whose f is the lex eliminant and
+    off which the q_j are read (`_shape_lemma`); f is squarefree by
+    `structure_basis`, so only these degrees can fail.
     """
     d = s.d
     if d == 0:
         return PPolyReport(True, None, (0,), None, {})
-    sb = structure_basis(s)
-    nv = d + 1
+    columns = _sparse_columns(structure_basis(s))
     diagnostics = {}
-    for i in range(1, nv):
-        rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
-        elim, exprs = shape_forms(rgb, i)
-        if elim.degree != d + 1:
+    for i in range(1, d + 1):
+        f, echelon = _power_walk(columns[i])
+        if f.degree != d + 1:
             diagnostics[i] = (
-                f"eliminant degree {elim.degree} < {d + 1}: "
+                f"eliminant degree {f.degree} < {d + 1}: "
                 f"not every class is a polynomial in class {i}"
             )
             continue
-        degs = sorted(exprs[j].degree for j in range(1, nv) if j != i)
+        f, exprs = _shape_lemma(f, echelon)
+        degs = sorted(exprs[j].degree for j in range(1, d + 1) if j != i)
         if degs != list(range(2, d + 1)):
             diagnostics[i] = (
                 f"polynomial degrees {degs} are not one of each degree 2..{d}"
             )
             continue
-        sigma = [0] * nv
-        sigma[i] = 1
-        for j in range(1, nv):
-            if j != i:
-                sigma[j] = exprs[j].degree
-        return PPolyReport(True, i, tuple(sigma), rgb, diagnostics, elim)
+        # q_0 = 1 and q_i = x_i, so every class's degree is its distance
+        sigma = tuple(q.degree for q in exprs)
+        return PPolyReport(True, i, sigma, _shape_basis(f, exprs, i), diagnostics, f)
     return PPolyReport(False, None, None, None, diagnostics)
 
 
@@ -409,21 +408,27 @@ def _generates(columns, subset):
 
 
 def _closure_size(columns, subset):
-    """The dimension of the unital subalgebra Q[B_i : i in subset].
-
-    `columns` is `structure_ideal._sparse_columns` of the structure basis.
-    The `fglm._krylov` walk from e_0 spans the subalgebra applied to e_0,
-    which is the subalgebra itself since e_0 is the identity; its size is 1
-    plus the rows that found a pivot.  Returns d+1 as soon as it is reached.
-    """
+    """The dimension of the unital subalgebra Q[B_i : i in subset], given
+    `structure_ideal._sparse_columns`: the closure of e_0 (the identity) under
+    the B_i.  Each round applies every B_i to the rows the last round added
+    and reduces the products by `exactmath._reduce_row`, keeping those with a
+    pivot; it stops at d+1 rows or at a round that adds none."""
     n = len(columns[0])
-    size = 1
-    for _, pivot in _krylov(columns, subset, (1,) + (0,) * (n - 1)):
-        if pivot is not None:
-            size += 1
-            if size == n:
-                break
-    return size
+    start = [1] + [0] * (n - 1)
+    echelon = {0: start}
+    new = [start]
+    while new:
+        added = []
+        for u in new:
+            for i in subset:
+                w, pivot = _reduce_row(echelon, _apply(columns[i], u), n)
+                if pivot is not None:
+                    echelon[pivot] = w
+                    if len(echelon) == n:
+                        return n
+                    added.append(w)
+        new = added
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +466,9 @@ def _generic_element(columns, rng_seed, max_coeff, max_attempts):
     `_sparse_columns` of the structure basis.  Each candidate
     y = sum_v lam_v B_v takes one `fglm._power_walk` and no conversion: y
     separates when its minimal polynomial has degree d+1, and is then read
-    off the walk (`_shape_lemma`); otherwise the smallest of its
-    `_unsolved_classes` gets a random positive weight added.
+    off the walk (`_shape_lemma`, `_shape_basis` with y in x_d's slot);
+    otherwise the smallest of its `_unsolved_classes` gets a random positive
+    weight added.
     """
     n = len(columns)
     rng = random.Random(rng_seed)
@@ -471,7 +477,8 @@ def _generic_element(columns, rng_seed, max_coeff, max_attempts):
     while True:
         f, echelon = _power_walk(_combined_columns(columns, lam))
         if f.degree == n:
-            return GenericElement(tuple(lam), tuple(changes), *_shape_lemma(f, echelon))
+            f, exprs = _shape_lemma(f, echelon)
+            return GenericElement(tuple(lam), tuple(changes), f, exprs, _shape_basis(f, exprs, n - 1))
         if len(changes) >= max_attempts:
             raise AttemptsExhausted(
                 f"no separating combination found after {max_attempts} coordinate changes"
@@ -503,10 +510,10 @@ def _unsolved_classes(echelon, n):
 
 
 def _shape_lemma(f, echelon):
-    """(eliminant, expressions, basis) of y from its minimal polynomial f, of
-    degree n = d+1, and its `fglm._power_walk` echelon.  Each q_j, x_d's too,
-    is read by reducing [e_j | 0 ... 0 | 1] to head 0: no echelon row uses
-    tail slot n, so the tail is -s * q_j with s in slot n."""
+    """(monic f, (q_0, ..., q_d)) of an element y from its minimal polynomial
+    f, of degree n = d+1, and its `fglm._power_walk` echelon: B_j = q_j(y),
+    deg q_j <= d.  Each q_j is read by reducing [e_j | 0 ... 0 | 1] to head 0:
+    no echelon row uses tail slot n, so the tail is -s * q_j with s in slot n."""
     n = f.degree
     exprs = []
     for j in range(n):
@@ -514,11 +521,20 @@ def _shape_lemma(f, echelon):
         w[j] = w[-1] = 1
         row, _ = _reduce_row(echelon, w, n)
         exprs.append(UniPoly(Fraction(-c, row[-1]) for c in row[n:-1]))
-    f = f.monic()
-    powers = [Monomial((0,) * (n - 1) + (k,)) for k in range(n + 1)]  # y^k, y in x_d's slot
+    return f.monic(), tuple(exprs)
+
+
+def _shape_basis(f, exprs, v):
+    """The reduced lex basis with x_v smallest of an element in x_v's slot
+    whose `_shape_lemma` is (f, exprs), by the shape lemma: f(x_v), then
+    x_j - q_j(x_v) for j descending, j != v, with normal set 1, x_v, ...,
+    x_v^d.  It is unique, so it is what `fglm.fglm_convert` would return."""
+    n = f.degree
+    powers = [Monomial(tuple(k if u == v else 0 for u in range(n))) for k in range(n + 1)]
     gens = [MPoly(n, zip(powers, f.coeffs))] + [
         MPoly(n, [(Monomial.variable(j, n), 1), *zip(powers, (-c for c in exprs[j].coeffs))])
-        for j in reversed(range(n - 1))
+        for j in reversed(range(n))
+        if j != v
     ]
-    order = MonomialOrder.lex(tuple(range(n)))
-    return f, tuple(exprs), ReducedGB(PolyBasis(gens, order), tuple(powers[:n]), order)
+    order = MonomialOrder.lex_smallest(n, v)
+    return ReducedGB(PolyBasis(gens, order), tuple(powers[:n]), order)

@@ -6,11 +6,11 @@ coordinate vectors; no polynomial division in the target order is ever
 needed.  The walk keeps the new normal set, an order ideal, as one dict,
 applies each matrix through the nonzero entries of its columns (`_apply`),
 and finds the dependencies by fraction-free integer elimination, the
-`exactmath._reduce_row` kernel of two more walks.  `_power_walk` is this
-walk restricted to the powers y^k e_0 of one element: it gives the minimal
-polynomials whose roots are the spectra, and the generic element with its
-shape-lemma basis.  `_krylov`, the closure of e_0 under several matrices,
-decides the mingen candidates.
+`exactmath._reduce_row` kernel.  `_power_walk` is this walk restricted to
+the powers y^k e_0 of one element, the whole walk when the target lex basis
+with y smallest is in shape position: it gives the minimal polynomials whose
+roots are the spectra, and `analysis` reads off it the generic element and
+the P-polynomial test, each with its shape-lemma basis.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
@@ -196,28 +196,6 @@ def _apply(columns, vec):
             for k, a in col:
                 out[k] += a * x
     return out
-
-
-def _krylov(columns, subset, start):
-    """The closure walk of the integer vector `start` (e_0) under the B_i,
-    i in `subset`, read off `_sparse_columns`.  Each round applies every B_i
-    of the subset to each row the previous round added, reduces the product
-    by `exactmath._reduce_row` and yields (row, pivot); a row with a pivot
-    joins the echelon and the next round.  The walk ends when a round adds
-    no row; a consumer may stop it sooner."""
-    n = len(columns[0])
-    echelon = {0: start}
-    new = [start]
-    while new:
-        added = []
-        for u in new:
-            for i in subset:
-                w, pivot = _reduce_row(echelon, _apply(columns[i], u), n)
-                yield w, pivot
-                if pivot is not None:
-                    echelon[pivot] = w
-                    added.append(w)
-        new = added
 
 
 def _power_walk(ycols):

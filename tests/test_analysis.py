@@ -30,9 +30,10 @@ from schemealg.errors import (
     SchemeAlgError,
     SearchTooLarge,
 )
-from schemealg.exactmath import RealRoot, UniPoly, real_roots
+from schemealg.exactmath import QMatrix, RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
     CharacterTable,
+    PPolyReport,
     character_table,
     check_p_polynomial,
     express_in_terms_of,
@@ -44,6 +45,7 @@ from schemealg.analysis import (
     _compare_points,
     _generates,
     _points_from_generic,
+    _shape_basis,
     _shape_lemma,
     _sparse_columns,
     _trace_sums_vanish,
@@ -411,6 +413,113 @@ def test_p_polynomial_verdict_survives_relabeling(ex1_scheme, hamming_scheme):
     assert rep.is_p_polynomial
     assert rep.generator_variable == 3
     assert rep.distance_relabeling == (0, 3, 2, 1)
+
+
+def _moved_hamming(n):
+    """H(n, 2) with its distance-1 class moved to the last label."""
+    return hamming(n, 2).relabel((0, n, *range(1, n)))
+
+
+def _lex_ppoly_report(s):
+    """The P-polynomial test by one lex conversion per class, read back by
+    `shape_forms`: the reference for the power walks of `check_p_polynomial`."""
+    d = s.d
+    sb = structure_basis(s)
+    diagnostics = {}
+    for i in range(1, d + 1):
+        rgb = fglm_convert(sb, MonomialOrder.lex_smallest(d + 1, i))
+        elim, exprs = shape_forms(rgb, i)
+        if elim.degree != d + 1:
+            diagnostics[i] = (
+                f"eliminant degree {elim.degree} < {d + 1}: not every class is a polynomial in class {i}"
+            )
+            continue
+        degs = sorted(exprs[j].degree for j in range(1, d + 1) if j != i)
+        if degs != list(range(2, d + 1)):
+            diagnostics[i] = f"polynomial degrees {degs} are not one of each degree 2..{d}"
+            continue
+        sigma = tuple(0 if j == 0 else 1 if j == i else exprs[j].degree for j in range(d + 1))
+        return PPolyReport(True, i, sigma, rgb, diagnostics, elim)
+    return PPolyReport(False, None, None, None, diagnostics)
+
+
+def test_p_polynomial_walks_match_the_lex_conversions(monkeypatch):
+    # every field of the report, the witness basis with its normal set and
+    # order among them, is what one lex conversion per class gives; the walks
+    # run no conversion and build no dense matrix, take one power walk per
+    # class tried and write one basis, for the class returned
+    from schemealg import analysis, fglm
+
+    schemes = distinct_orbit_tensors(40) + [_moved_hamming(n) for n in (3, 4, 5)]
+    expected = [_lex_ppoly_report(s) for s in schemes]
+    assert sum(rep.is_p_polynomial for rep in expected) > 1
+    assert any(rep.generator_variable not in (None, 1) for rep in expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_p_polynomial ran a conversion or built a dense matrix")
+
+    walks, bases = [], []
+
+    def counted(calls, f):
+        def wrapper(*args):
+            calls.append(args)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "fglm_convert", forbidden)
+    monkeypatch.setattr(fglm, "fglm_from_matrices", forbidden)
+    monkeypatch.setattr(QMatrix, "__init__", forbidden)
+    monkeypatch.setattr(analysis, "_power_walk", counted(walks, _power_walk))
+    monkeypatch.setattr(analysis, "_shape_basis", counted(bases, _shape_basis))
+    for s, ref in zip(schemes, expected):
+        walks.clear()
+        bases.clear()
+        assert check_p_polynomial(s) == ref, s.tensor.p
+        assert len(walks) == (ref.generator_variable or s.d), s.tensor.p
+        assert [args[2] for args in bases] == ([ref.generator_variable] if ref.is_p_polynomial else [])
+    walks.clear()
+    s = orbit_scheme(31, 5)
+    assert not check_p_polynomial(s).is_p_polynomial
+    assert len(walks) == s.d == 5
+
+
+def _bfs_distance_class(s):
+    """(i, distances) for the first class i from which a breadth-first search
+    over the classes, stepping j -> k wherever p_ij^k != 0, puts exactly one
+    class at each distance from class 0 and reaches every class; None if no
+    class does.  Such an i is a distance-1 class, B_k a polynomial of degree
+    dist(k) in B_i."""
+    p = s.tensor.p
+    n = len(p)
+    for i in range(1, n):
+        dist = {0: 0}
+        layer = [0]
+        while len(layer) == 1:
+            j = layer[0]
+            layer = sorted({k for k in range(n) if p[i][j][k] and k not in dist})
+            for k in layer:
+                dist[k] = dist[j] + 1
+        if not layer and len(dist) == n:
+            return i, tuple(dist[k] for k in range(n))
+    return None
+
+
+def test_p_polynomial_verdict_matches_the_breadth_first_distances():
+    # an oracle read off the tensor alone: the generator is the first class
+    # whose breadth-first layers are single classes, and the relabeling is
+    # the layer of each class
+    schemes = distinct_orbit_tensors(40) + [_xor_scheme(n) for n in range(2, 6)]
+    schemes += [_moved_hamming(n) for n in (3, 4, 5)]
+    metric = 0
+    for s in schemes:
+        rep = check_p_polynomial(s)
+        oracle = _bfs_distance_class(s)
+        assert rep.is_p_polynomial == (oracle is not None), s.tensor.p
+        if oracle is not None:
+            metric += 1
+            assert (rep.generator_variable, rep.distance_relabeling) == oracle, s.tensor.p
+    assert 0 < metric < len(schemes)
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +935,9 @@ def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
     # the reference is the lex conversion of Q[x_0..x_{d-1}, y] with
     # y = sum_v lam_v B_v smallest: the classes `_unsolved_classes` reads off
     # the power walk of y are those with no solved form in it, and on a
-    # separating y `_shape_lemma` gives its eliminant, solved forms and basis
-    # (x_d's form is y - sum_v lam_v q_v(y) mod f); the last class alone,
+    # separating y `_shape_lemma` reads its eliminant and solved forms (x_d's
+    # form is y - sum_v lam_v q_v(y) mod f) and `_shape_basis` writes the
+    # basis with y in x_d's slot; the last class alone,
     # then three seeded combinations, on every distinct tensor
     rng = random.Random(24)
     cases = separating = 0
@@ -855,8 +965,9 @@ def test_krylov_decision_matches_the_conversion_on_seeded_candidates():
                 x_d = UniPoly.monomial(1)
                 for v in range(d):
                     x_d = x_d - exprs[v] * lam[v]
-                expected = (elim, tuple(exprs[j] for j in range(d)) + (x_d % elim,), rgb)
+                expected = (elim, tuple(exprs[j] for j in range(d)) + (x_d % elim,))
                 assert _shape_lemma(f, echelon) == expected, (s.tensor.p, lam)
+                assert _shape_basis(*expected, d) == rgb, (s.tensor.p, lam)
     assert cases == 212
     assert 0 < separating < cases
 

@@ -449,7 +449,9 @@ CHARTAB_DIGITS_SHA256 = {
 # expressions.  (13, 5) fails on the degree sequence, (25, 4) on the eliminant
 # degree and needs a coordinate change, (31, 5) fails on the degree sequence
 # with d = 5, the pentagon (5, 4) is P-polynomial, and the generic element of
-# (32, 7) takes four coordinate changes, the longest search pinned.
+# (32, 7) takes four coordinate changes, the longest search pinned.  The cycle
+# (40, 39) is P-polynomial with a degree-21 eliminant, and (21, 13), at d = 7,
+# fails on the eliminant degree for 4 classes and on the degree sequence for 3.
 REPORT_SHA256 = {
     ("generator", 5, 4, "json"): "b88cdb1504d3e13ab1ee1eedda70fae4522df19a13b24c6fe892ee1ccafbd533",
     ("generator", 5, 4, "text"): "9f440046f951ca1ee271756cbec26595c74aa9ce7a74719f2685efa9edd3882b",
@@ -469,6 +471,10 @@ REPORT_SHA256 = {
     ("ppoly", 25, 4, "text"): "bc6f02d6cf71b8967c6b02ac08d2d4ff29cfa77bdbba2841159b1f884c53a3a9",
     ("ppoly", 31, 5, "json"): "d31e44c70919027c67efe6af5c29f6e7a1b372124d9525a0af5a69f8be118f78",
     ("ppoly", 31, 5, "text"): "7c3d76f5a0a7ee298a40cf0604acf9393791d45f2356ef696a75bc64b55d30fa",
+    ("ppoly", 21, 13, "json"): "e96257a0dbd6e68e2d19be90031816c7a08dbb6a1afd9e8972b46e1e4ad066b8",
+    ("ppoly", 21, 13, "text"): "fa482be9dcede256994dcba9669370de1352f0aff0cb4fb1fd1b8d28e76ac090",
+    ("ppoly", 40, 39, "json"): "ce61ce8cc4ffcd2923e2b95a09166f84d7560295307f99c94d9405a35568108d",
+    ("ppoly", 40, 39, "text"): "527a42676570fd6e72c5b4443bfe47fc507d7dc1e4c6ade1f416aafd3c13a935",
 }
 
 
