@@ -9,8 +9,12 @@ P-polynomial property is the degree sequence of these polynomials for some
 class, and "generic" elements (single matrices whose eigenvalues separate
 the whole spectrum) are found by random coordinate changes, each candidate
 decided by its walk, with no Groebner computation.  The character table
-comes from the variety points of a pure-lex conversion, and expressions of
-classes in a subset from the solved forms of a block-lex basis.
+comes from the variety points, found by trying each class as the smallest
+variable of a pure-lex order: a separating class is read off its walk by the
+shape lemma, a class with an irrational eigenvalue that does not separate is
+skipped, as its lex basis cannot be solved stage by stage, and only a class
+with a rational spectrum is converted.  Expressions of classes in a subset
+come from the solved forms of a block-lex basis.
 
 Minimal generating sets are decided otherwise: whether a class set generates
 depends only on the dimension of the subalgebra its intersection matrices
@@ -67,26 +71,53 @@ from .structure_ideal import StructureBasis, _sparse_columns, structure_basis
 def variety_points(sb: StructureBasis, *, _ctx=None):
     """All common zeros of the structure ideal, exactly.
 
-    Tries each variable in turn as the smallest one of a pure-lex order; if
-    no conversion is triangular enough to solve (possible when irrational
-    eigenvalues collide), falls back to a generic element, whose eigenvalue
-    separates the points by construction.  Every attempt and the fallback
-    share one _SolveContext, so each class's minimal polynomial is computed
-    once and each distinct polynomial is isolated once: an eliminant shares
-    the spectrum of its smallest class, and the roots a futile attempt
-    isolated are the spectra the fallback reads.  `_ctx`, a _SolveContext of
-    sb, extends that sharing to the caller (`character_table`).
+    Tries each class in turn as the smallest variable of a pure-lex order
+    (`_lex_points`); if none solves (possible when irrational eigenvalues
+    collide), falls back to a generic element, whose eigenvalue separates
+    the points by construction.  The ladder and the fallback share one
+    _SolveContext, so each class's power walk is made once and each
+    distinct polynomial is isolated once: an eliminant shares the spectrum
+    of its smallest class, and the spectra the ladder isolated are the ones
+    the fallback reads.  `_ctx`, a _SolveContext of sb, extends that sharing
+    to the caller (`character_table`).
     """
-    nv = sb.nvars
     ctx = _SolveContext(sb) if _ctx is None else _ctx
+    points = _lex_points(ctx)
+    if points is None:
+        ge = _generic_element(ctx.columns, rng_seed=0, max_coeff=10, max_attempts=32)
+        points = _points_from_generic(ctx, ge)
+    return points
+
+
+def _lex_points(ctx):
+    """The points of the lex basis with x_i smallest for the first class
+    i = 1..d whose basis solves, or None.  Each class is decided by its
+    power walk (`ctx.walk`) first:
+    - a separating class (minimal polynomial of degree d+1) has its basis in
+      shape position, so its points are read off the walk by the shape
+      lemma (`_shape_lemma`, `_shape_points`) with no conversion; the basis
+      is unique, so these are the points `solve_triangular` finds on it;
+    - a class that does not separate and has an irrational eigenvalue is
+      skipped, as its attempt would raise NotTriangularEnough: the stage
+      walk puts that root on the stack, so every later stage needs a solved
+      form, and if all had one, Q[B_i] would be the whole algebra;
+    - any other class, with a rational spectrum, is converted by
+      `fglm_convert` and solved by `solve_triangular`, whose rational
+      branching may succeed or raise NotTriangularEnough.
+    """
+    sb, nv = ctx.sb, ctx.sb.nvars
     for i in range(1, nv):
-        rgb = fglm_convert(sb, MonomialOrder.lex_smallest(nv, i))
+        g, echelon = ctx.walk(i)
+        if g.degree == nv:
+            f, exprs = _shape_lemma(g, echelon)
+            return _shape_points(ctx, f, [None if j == i else q for j, q in enumerate(exprs)])
+        if not all(t.is_rational for t in ctx.spectrum(i)):
+            continue
         try:
-            return solve_triangular(rgb, sb, _ctx=ctx)
+            return solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(nv, i)), sb, _ctx=ctx)
         except NotTriangularEnough:
             continue
-    ge = _generic_element(ctx.columns, rng_seed=0, max_coeff=10, max_attempts=32)
-    return _points_from_generic(ctx, ge)
+    return None
 
 
 def _points_from_generic(ctx, ge):

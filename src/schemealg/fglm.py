@@ -9,15 +9,19 @@ and finds the dependencies by fraction-free integer elimination, the
 `exactmath._reduce_row` kernel.  `_power_walk` is this walk restricted to
 the powers y^k e_0 of one element, the whole walk when the target lex basis
 with y smallest is in shape position: it gives the minimal polynomials whose
-roots are the spectra, and `analysis` reads off it the generic element and
-the P-polynomial test, each with its shape-lemma basis.
+roots are the spectra, and `analysis` reads off it the generic element, the
+P-polynomial test and the variety points of a separating class, by the
+shape lemma.
 `solved_forms` is the one reader of generators x_j - tail(smaller
 variables) off such a basis, and `shape_forms` reads a lex basis in its
 shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
 extracted from a lex basis: in shape position every coordinate is q_j(t)
 for a real root t of f, matched against its class's spectrum from t alone
-(`_shape_points`, the kernel the generic element uses too); any other basis
-is solved stage by stage (`_stage_points`).  Every point passes residual
+(`_shape_points`, the kernel the generic element and a separating class's
+walk use too); any other basis is solved stage by stage (`_stage_points`),
+which fails with NotTriangularEnough once an irrational coordinate lacks a
+solved form, always so when the smallest variable has an irrational
+eigenvalue and does not generate the algebra.  Every point passes residual
 certification by interval enclosures of the structure relations, read off
 the nonzero entries of the intersection tensor (exact on rational points).
 """
@@ -218,35 +222,36 @@ def _power_walk(ycols):
         vec = _apply(ycols, vec)
 
 
-def _minimal_polynomial(columns, i):
-    """The minimal polynomial of B_i, primitive: `_power_walk` of its columns."""
-    return _power_walk(columns[i])[0]
-
-
 class _SolveContext:
     """What one structure basis gives every solve that reads it, computed
-    once: the sparse columns, each class's minimal polynomial (its power
-    walk) and the real roots of each distinct polynomial.
+    once: the sparse columns, each class's power walk (its minimal
+    polynomial and echelon) and the real roots of each distinct polynomial.
 
+    `walk(var)` is `_power_walk` of B_var, which decides each class of the
+    `variety_points` ladder: its minimal polynomial is `walk(var)[0]`, and
+    a separating class's points are read off the walk by the shape lemma.
     `roots(p)` memoises `real_roots` by the coefficients of p's primitive
     associate, the only form of p that `real_roots` reads, so it returns
     what `real_roots(p)` would.  A spectrum (the real roots of a class's
     minimal polynomial, the zero set of its characteristic polynomial) is
     `roots` of that polynomial: classes with one minimal polynomial share
     it, and so does a lex eliminant, which is the minimal polynomial of its
-    smallest class.  One context serves one solve, every attempt of one
+    smallest class.  One context serves one solve, the ladder of one
     `variety_points` call, or a whole `character_table`."""
 
     def __init__(self, sb):
         self.sb = sb
         self.columns = _sparse_columns(sb)
-        self._minimal = {}
+        self._walks = {}
         self._roots = {}
 
+    def walk(self, var):
+        if var not in self._walks:
+            self._walks[var] = _power_walk(self.columns[var])
+        return self._walks[var]
+
     def minimal_polynomial(self, var):
-        if var not in self._minimal:
-            self._minimal[var] = _minimal_polynomial(self.columns, var)
-        return self._minimal[var]
+        return self.walk(var)[0]
 
     def roots(self, p):
         key = p.primitive().coeffs
@@ -325,6 +330,10 @@ def solve_triangular(rgb: ReducedGB, sb: StructureBasis, *, _ctx=None):
     a _SolveContext of sb, lets the attempts of one `variety_points` call
     share their real roots: eliminants and the rational partials'
     polynomials are isolated through it, as the spectra are.
+    `variety_points` reads a separating class off its power walk and skips
+    a class with an irrational eigenvalue that does not separate, whose
+    basis raises NotTriangularEnough here, so its attempts are the classes
+    with a rational spectrum.
     """
     ctx = _SolveContext(sb) if _ctx is None else _ctx
     nv = rgb.target_order.nvars

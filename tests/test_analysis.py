@@ -44,6 +44,7 @@ from schemealg.analysis import (
     _combined_columns,
     _compare_points,
     _generates,
+    _generic_element,
     _points_from_generic,
     _shape_basis,
     _shape_lemma,
@@ -59,7 +60,6 @@ from schemealg.scheme import (
     scheme_from_relations,
 )
 from schemealg.fglm import (
-    _minimal_polynomial,
     _power_walk,
     _SolveContext,
     fglm_convert,
@@ -117,7 +117,7 @@ def test_relabeled_ex1_matches_by_column_permutation(ex1_scheme):
 
 
 def test_prime_power_character_table_takes_the_generic_fallback(monkeypatch):
-    # (25, 4) fails every lex conversion, so its points come from a generic
+    # no lex basis of (25, 4) solves, so its points come from a generic
     # element; its valency row comes from a rational eliminant root.
     from schemealg import analysis
 
@@ -696,7 +696,7 @@ def test_the_krylov_minimal_polynomial_is_the_squarefree_charpoly():
     for s in schemes:
         columns = _sparse_columns(structure_basis(s))
         for i in range(s.d + 1):
-            mp = _minimal_polynomial(columns, i)
+            mp = _power_walk(columns[i])[0]
             assert mp == intersection_matrix(s, i).charpoly().squarefree_part().primitive(), (s.tensor.p, i)
             assert mp.degree == _closure_size(columns, (i,)), (s.tensor.p, i)
 
@@ -812,7 +812,7 @@ def test_shape_forms_satisfy_the_structure_relations_modulo_the_eliminant():
     assert separating == 43
 
 
-# ROADMAP item 4's two facts about the lex ladder of `variety_points`, on the
+# ROADMAP item 7's two facts about the lex ladder of `variety_points`, on the
 # 53 distinct orbit tensors with m <= 24.  dim Q[B_i] is `_closure_size` of
 # {i}, the number of distinct eigenvalues of B_i.
 
@@ -829,9 +829,6 @@ def test_a_separating_class_prints_what_the_generic_path_prints(tmp_path, capsys
         assert cli.main(["chartab", str(path), "--format", "json"]) == 0
         return capsys.readouterr().out
 
-    def not_triangular(*args, **kwargs):
-        raise NotTriangularEnough("forced onto the generic element")
-
     schemes = distinct_orbit_tensors(24)
     assert len(schemes) == 53
     separating = [
@@ -840,9 +837,18 @@ def test_a_separating_class_prints_what_the_generic_path_prints(tmp_path, capsys
     ]
     assert len(separating) == 43
     lex = [chartab_json(s) for s in separating]
-    monkeypatch.setattr(analysis, "solve_triangular", not_triangular)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _points_from_generic(*args)
+
+    # no class solves, so every tensor is forced onto the generic element
+    monkeypatch.setattr(analysis, "_lex_points", lambda ctx: None)
+    monkeypatch.setattr(analysis, "_points_from_generic", recorded)
     for s, text in zip(separating, lex):
         assert chartab_json(s) == text, s.tensor.p
+    assert len(calls) == len(separating)
 
 
 def test_a_class_with_an_irrational_eigenvalue_that_does_not_separate_is_not_triangular():
@@ -859,6 +865,60 @@ def test_a_class_with_an_irrational_eigenvalue_that_does_not_separate_is_not_tri
                 with pytest.raises(NotTriangularEnough):
                     solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(nv, i)), sb)
     assert pairs == 53
+
+
+def _convert_every_class(sb):
+    """The reference ladder: one lex conversion and `solve_triangular` per
+    class i = 1..d, then the generic element."""
+    ctx = _SolveContext(sb)
+    for i in range(1, sb.nvars):
+        try:
+            return solve_triangular(fglm_convert(sb, MonomialOrder.lex_smallest(sb.nvars, i)), sb, _ctx=ctx)
+        except NotTriangularEnough:
+            continue
+    return _points_from_generic(ctx, _generic_element(ctx.columns, rng_seed=0, max_coeff=10, max_attempts=32))
+
+
+def _exact_coordinates(points):
+    return [
+        tuple(c.value if c.is_rational else (c.poly.coeffs, c.low, c.high) for c in pt.coordinates)
+        for pt in points
+    ]
+
+
+def test_the_walk_first_ladder_finds_the_points_of_the_convert_every_class_ladder():
+    # every coordinate, in order, is the reference ladder's: the same
+    # rational value, or the same witness and isolating interval
+    schemes = distinct_orbit_tensors(40)
+    schemes += [hamming(n, 2) for n in range(2, 6)] + [_xor_scheme(n) for n in range(2, 6)]
+    for s in schemes:
+        sb = structure_basis(s)
+        assert _exact_coordinates(variety_points(sb)) == _exact_coordinates(_convert_every_class(sb)), s.tensor.p
+
+
+def test_the_ladder_converts_only_the_classes_with_a_rational_spectrum(monkeypatch):
+    # no class of a prime-power rung separates; a class with an irrational
+    # eigenvalue is skipped (fact (a)) and one with a rational spectrum is
+    # converted, its stage walk failing too
+    from schemealg import analysis
+
+    smallest = []
+
+    def recorded(sb, order):
+        smallest.append(order.priority[-1])
+        return fglm_convert(sb, order)
+
+    monkeypatch.setattr(analysis, "fglm_convert", recorded)
+    for (m, r), count in {(25, 4): 0, (27, 8): 1, (32, 7): 2}.items():
+        s = orbit_scheme(m, r)
+        rational = [
+            i for i in range(1, s.d + 1)
+            if all(x.is_rational for x in real_roots(intersection_matrix(s, i).charpoly()))
+        ]
+        assert len(rational) == count
+        smallest.clear()
+        variety_points(structure_basis(s))
+        assert smallest == rational, (m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +1039,8 @@ def test_character_table_isolates_each_distinct_polynomial_once(monkeypatch):
     # is read off a spectrum and no other polynomial is isolated
     s = orbit_scheme(61, 3)
     columns = _sparse_columns(structure_basis(s))
-    minimal = {_minimal_polynomial(columns, i).coeffs for i in range(s.d + 1)}
-    assert minimal == {(-1, 1), _minimal_polynomial(columns, 1).coeffs}
+    minimal = {_power_walk(columns[i])[0].coeffs for i in range(s.d + 1)}
+    assert minimal == {(-1, 1), _power_walk(columns[1])[0].coeffs}
     calls = []
     monkeypatch.setattr(
         "schemealg.fglm.real_roots",

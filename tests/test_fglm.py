@@ -17,7 +17,7 @@ from schemealg.fglm import (
     VarietyPoint,
     _certify_point,
     _meeting,
-    _minimal_polynomial,
+    _power_walk,
     _shape_points,
     _SolveContext,
     _stage_points,
@@ -357,7 +357,7 @@ def test_coarse_spectra_keep_rational_roots_out_of_the_irrational_cells():
     polys = set()
     for s in distinct_orbit_tensors(24):
         columns = _sparse_columns(structure_basis(s))
-        polys.update(_minimal_polynomial(columns, i) for i in range(s.d + 1))
+        polys.update(_power_walk(columns[i])[0] for i in range(s.d + 1))
     pairs = 0
     for p in polys:
         roots = real_roots(p, precision=1)

@@ -44,7 +44,7 @@ from schemealg.exactmath import (  # noqa: E402
     _sturm_chain,
     real_roots,
 )
-from schemealg.fglm import _minimal_polynomial, _sparse_columns  # noqa: E402
+from schemealg.fglm import _power_walk, _sparse_columns  # noqa: E402
 from schemealg.polyring import Monomial, MPoly  # noqa: E402
 from schemealg.structure_ideal import structure_basis  # noqa: E402
 
@@ -318,7 +318,7 @@ def test_refine_lands_on_the_bisection_cell_on_the_orbit_spectra():
     minpolys = set()
     for s in schemes:
         columns = _sparse_columns(structure_basis(s))
-        minpolys.update(_minimal_polynomial(columns, i) for i in range(1, s.d + 1))
+        minpolys.update(_power_walk(columns[i])[0] for i in range(1, s.d + 1))
     roots = 0
     for p in minpolys:
         for value in real_roots(p):
