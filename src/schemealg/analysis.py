@@ -32,8 +32,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
-from math import ceil, comb, floor, prod
+from functools import cmp_to_key
+from math import comb, lcm, prod
 
 from .errors import (
     AttemptsExhausted,
@@ -42,7 +42,7 @@ from .errors import (
     NotTriangularEnough,
     SearchTooLarge,
 )
-from .exactmath import Interval, RealRoot, UniPoly, _reduce_row, refine_until
+from .exactmath import RealRoot, UniPoly, _integer_ends, _product, _reduce_row, _square, refine_until
 # _algebraic_value and _certify_point are unused here: perfbench/test_perfbench.py
 # checks that its tracer wraps these bindings
 from .fglm import (  # noqa: F401
@@ -161,14 +161,21 @@ class CharacterTable:
 
     def check_orthogonality(self) -> bool:
         """Certify P @ Q = |X| * I entry by entry with `_certify_sums` (exact
-        when P and Q are rational)."""
+        when P and Q are rational): each entry is a sum of `_product`s of
+        the scaled endpoints, D^2 times the entry."""
         v, n = self.scheme.order, self.size
 
-        def sums(ivs):  # the entries of P, then of Q: Q[k][nu] is ivs[(n + k) * n + nu]
+        def sums(lows, highs):  # the entries of P, then of Q: Q[k][nu] is at (n + k) * n + nu
             for mu, nu in itertools.product(range(n), repeat=2):
-                yield _sum(ivs[mu * n + k].mul(ivs[(n + k) * n + nu]) for k in range(n)), v if mu == nu else 0
+                lo = hi = 0
+                for k in range(n):
+                    a, b = mu * n + k, (n + k) * n + nu
+                    p_lo, p_hi = _product(lows[a], highs[a], lows[b], highs[b])
+                    lo += p_lo
+                    hi += p_hi
+                yield lo, hi, v if mu == nu else 0
 
-        return _certify_sums([c for row in self.P + self.Q for c in row], sums)
+        return _certify_sums([c for row in self.P + self.Q for c in row], sums, 2)
 
 
 def _fractions(rows):
@@ -182,15 +189,29 @@ def _multiplicity(order, valencies, row):
     the row is refined until the enclosure of that quotient holds exactly one
     integer (exact on a rational row).  The sum is at least P[nu][0]^2 / k_0 = 1,
     as x_0 = 1 is certified.  Raises InternalInvariantViolation as soon as the
-    enclosure holds no integer."""
+    enclosure holds no integer.
+
+    The enclosure is computed on plain integers: with the row's endpoints
+    scaled by their common denominator D (`_integer_ends`), L = lcm(k) and
+    w_i = L / k_i, S = sum_i w_i (D x_i)^2 (`_square`) is L D^2 times the
+    Interval sum, so the quotient's enclosure is [N / S_hi, N / S_lo] with
+    N = |X| D^2 L, and its integers run from ceil(N / S_hi) to
+    floor(N / S_lo).  The two Fractions are built only for the error."""
+    scale = lcm(*valencies)
+    weights = [scale // k for k in valencies]
 
     def verdict(values):
-        acc = _sum(c.interval().power(2).scale(Fraction(1, k)) for c, k in zip(values, valencies))
-        m_iv = acc.reciprocal().scale(order)
-        lo, hi = ceil(m_iv.lo), floor(m_iv.hi)
+        den, lows, highs = _integer_ends(values)
+        s_lo = s_hi = 0
+        for lo, hi, w in zip(lows, highs, weights):
+            sq_lo, sq_hi = _square(lo, hi)
+            s_lo += w * sq_lo
+            s_hi += w * sq_hi
+        n = order * den * den * scale
+        lo, hi = -(-n // s_hi), n // s_lo
         if lo > hi:
             raise InternalInvariantViolation(
-                f"multiplicity in [{m_iv.lo}, {m_iv.hi}] is not an integer"
+                f"multiplicity in [{Fraction(n, s_hi)}, {Fraction(n, s_lo)}] is not an integer"
             )
         return lo if lo == hi else None
 
@@ -277,32 +298,41 @@ def _trace_sums_vanish(order, mults, P):
     """
     n = len(P)
 
-    def sums(ivs):
+    def sums(lows, highs):  # D times T_k: the sum of m_nu times the scaled entries
         for k in range(n):
-            yield _sum(ivs[nu * n + k].scale(m) for nu, m in enumerate(mults)), order if k == 0 else 0
+            lo = hi = 0
+            for nu, m in enumerate(mults):
+                t_lo, t_hi = _product(m, m, lows[nu * n + k], highs[nu * n + k])
+                lo += t_lo
+                hi += t_hi
+            yield lo, hi, order if k == 0 else 0
 
-    return _certify_sums([c for row in P for c in row], sums)
+    return _certify_sums([c for row in P for c in row], sums, 1)
 
 
-def _certify_sums(values, sums):
-    """Refine `values` (RealRoots) until the (enclosure, target) pairs that
-    sums(intervals of the values) yields decide: False as soon as an enclosure
-    excludes its target, True once all are narrower than ORTHOGONALITY_WIDTH."""
+def _certify_sums(values, sums, degree):
+    """Refine `values` (RealRoots) until the sums of them that `sums`
+    encloses decide: False as soon as an enclosure excludes its target, True
+    once all are narrower than ORTHOGONALITY_WIDTH.
+
+    Each verdict scales the values' endpoints to integers once, by their
+    common denominator D (`_integer_ends`), and sums(lows, highs) yields,
+    per sum, its Interval enclosure times D^degree as two integers and its
+    target; the target and the width bound are scaled by D^degree too."""
+    w_num, w_den = ORTHOGONALITY_WIDTH.numerator, ORTHOGONALITY_WIDTH.denominator
 
     def verdict(values):
+        den, lows, highs = _integer_ends(values)
+        unit = den**degree
+        limit = unit * w_num
         done = True
-        for acc, target in sums([c.interval() for c in values]):
-            if not acc.contains(target):
+        for lo, hi, target in sums(lows, highs):
+            if not lo <= target * unit <= hi:
                 return False
-            done = done and acc.width < ORTHOGONALITY_WIDTH
+            done = done and (hi - lo) * w_den < limit
         return True if done else None
 
     return refine_until(values, verdict, "orthogonality")
-
-
-def _sum(intervals):
-    """The interval sum of `intervals`, from the point 0."""
-    return reduce(Interval.add, intervals, Interval.point(0))
 
 
 # ---------------------------------------------------------------------------

@@ -177,19 +177,23 @@ class UniPoly:
 
     def evaluate_interval(self, iv):
         """Enclosure of self over the Interval iv by Horner's rule in Interval
-        arithmetic, stepped in integers: with iv = X/D (`_integer_box`) and
-        coefficients A_k/C, the k-th Horner value times C*D^(n-k) is the
-        integer interval acc*X + A_k*D^(n-k), so only the result is divided,
-        by C*D^n.  Scaling by a positive constant keeps every min and max, so
-        the enclosure is the one the same steps give over Fractions."""
-        den, (x,) = _integer_box((iv,))
+        arithmetic, stepped on two integers: with iv = [X_lo, X_hi]/D
+        (`_integers`) and coefficients A_k/C, the k-th Horner value times
+        C*D^(n-k) is the integer interval acc*X + A_k*D^(n-k), multiplied by
+        `_product`, so only the result is divided, by C*D^n.  Scaling by a
+        positive constant keeps every min and max, so the enclosure is the
+        one the same steps give over Fractions."""
+        den, (x_lo, x_hi) = _integers((iv.lo, iv.hi))
         cden, coeffs = _integers(self._c)
-        acc, pw = Interval.point(0), 1
+        lo = hi = 0
+        pw = 1
         for a in reversed(coeffs):
-            acc = acc.mul(x).add(Interval.point(a * pw))
+            lo, hi = _product(lo, hi, x_lo, x_hi)
+            lo += a * pw
+            hi += a * pw
             pw *= den
         q = cden * den ** max(self.degree, 0)
-        return Interval(Fraction(acc.lo, q), Fraction(acc.hi, q))
+        return Interval(Fraction(lo, q), Fraction(hi, q))
 
     # -- number-theoretic normal forms --------------------------------------
 
@@ -427,6 +431,47 @@ def _integers(xs):
     xs = tuple(xs)
     den = math.lcm(*(x.denominator for x in xs))
     return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _integer_ends(values):
+    """(den, lows, highs): the least common denominator of the endpoints of
+    the RealRoots `values` and the integers den * low and den * high, in
+    order."""
+    den, ends = _integers(x for v in values for x in (v.low, v.high))
+    return den, ends[::2], ends[1::2]
+
+
+def _product(a_lo, a_hi, b_lo, b_hi):
+    """(lo, hi): the interval product [a_lo, a_hi] * [b_lo, b_hi], the min
+    and max of the four endpoint products (`Interval.mul`), from the two of
+    them that the endpoints' signs pick, or four when both straddle 0."""
+    if a_lo >= 0:
+        if b_lo >= 0:
+            return a_lo * b_lo, a_hi * b_hi
+        if b_hi <= 0:
+            return a_hi * b_lo, a_lo * b_hi
+        return a_hi * b_lo, a_hi * b_hi
+    if a_hi <= 0:
+        if b_lo >= 0:
+            return a_lo * b_hi, a_hi * b_lo
+        if b_hi <= 0:
+            return a_hi * b_hi, a_lo * b_lo
+        return a_lo * b_hi, a_lo * b_lo
+    if b_lo >= 0:
+        return a_lo * b_hi, a_hi * b_hi
+    if b_hi <= 0:
+        return a_hi * b_lo, a_lo * b_lo
+    return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
+
+
+def _square(lo, hi):
+    """(lo, hi)^2 by the even-power rule of `Interval.power`: 0 is the least
+    square of an interval that straddles it."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
 
 
 def _integer_box(intervals):
@@ -887,18 +932,27 @@ def refine_until(values, verdict, layer):
     A width above every value's width is skipped but counts as a round:
     `refine` would return every value as it is (one already narrower, and a
     rational always), and the verdict, a function of the values alone,
-    would answer as before.  Rational values are points, so an interval
+    would answer as before.  The first round whose width is at most the
+    widest value's is found from the bit lengths of that width's numerator
+    and denominator.  Rational values are points, so an interval
     verdict on them is exact and decides at once.
     Raises InternalInvariantViolation naming `layer` once the rounds run out.
     """
     values = list(values)
-    widths = (Fraction(1, 2 ** (8 + 2 * r)) for r in range(REFINE_ROUNDS - 1))
+    rnd = 0  # the next round's index; its width is 2^-(8 + 2 rnd)
     while (answer := verdict(values)) is None:
         widest = max((v.width for v in values), default=0)
-        width = next((w for w in widths if w <= widest), None)
-        if width is None:
+        if widest > 0:
+            # the least e with 2^-e <= widest, then the first round at or past it
+            num, den = widest.numerator, widest.denominator
+            e = max(den.bit_length() - num.bit_length(), 0)
+            e += num << e < den
+            rnd = max(rnd, (e - 7) // 2)
+        if widest <= 0 or rnd >= REFINE_ROUNDS - 1:
             raise InternalInvariantViolation(
                 f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"
             )
+        width = Fraction(1, 2 ** (8 + 2 * rnd))
+        rnd += 1
         values = [v.refine(width) for v in values]
     return answer

@@ -23,7 +23,9 @@ which fails with NotTriangularEnough once an irrational coordinate lacks a
 solved form, always so when the smallest variable has an irrational
 eigenvalue and does not generate the algebra.  Every point passes residual
 certification by interval enclosures of the structure relations, read off
-the nonzero entries of the intersection tensor (exact on rational points).
+the nonzero entries of the intersection tensor and computed on the integer
+endpoints of the box scaled by its common denominator (exact on rational
+points).
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
     UniPoly,
-    _integer_box,
+    _integer_ends,
     _integers,
+    _product,
     _reduce_row,
+    _square,
     _sign_at,
     _sturm_chain,
     real_roots,
@@ -234,16 +238,19 @@ class _SolveContext:
     associate, the only form of p that `real_roots` reads, so it returns
     what `real_roots(p)` would.  A spectrum (the real roots of a class's
     minimal polynomial, the zero set of its characteristic polynomial) is
-    `roots` of that polynomial: classes with one minimal polynomial share
-    it, and so does a lex eliminant, which is the minimal polynomial of its
-    smallest class.  One context serves one solve, the ladder of one
-    `variety_points` call, or a whole `character_table`."""
+    `roots` of that polynomial, kept per class by `spectrum(var)` so that a
+    repeated call does not make the polynomial primitive again: classes
+    with one minimal polynomial share it, and so does a lex eliminant,
+    which is the minimal polynomial of its smallest class.  One context
+    serves one solve, the ladder of one `variety_points` call, or a whole
+    `character_table`."""
 
     def __init__(self, sb):
         self.sb = sb
         self.columns = _sparse_columns(sb)
         self._walks = {}
         self._roots = {}
+        self._spectra = {}
 
     def walk(self, var):
         if var not in self._walks:
@@ -260,7 +267,9 @@ class _SolveContext:
         return self._roots[key]
 
     def spectrum(self, var):
-        return self.roots(self.minimal_polynomial(var))
+        if var not in self._spectra:
+            self._spectra[var] = self.roots(self.minimal_polynomial(var))
+        return self._spectra[var]
 
 
 def _algebraic_value(ctx, values, enclosure, var):
@@ -397,41 +406,54 @@ def _stage_points(ctx, rgb):
 def _certify_point(ctx, coords):
     """The variety point at `coords` (RealRoots, x0 first), certified: x0
     must be 1, and every structure relation's residual must have an interval
-    enclosure that contains 0 and is narrower than DEFAULT_PRECISION.  The point
-    keeps the coordinates as refined as that took (rational ones are points,
-    so on a rational point the check is exact and refines nothing)."""
+    enclosure that contains 0 and is narrower than DEFAULT_PRECISION, checked
+    on the integer enclosures of `_relation_enclosures`, D^2 times the
+    relations', against D^2 * DEFAULT_PRECISION.  The first relation, in
+    (i, j) order, whose enclosure excludes 0 raises.  The point keeps the
+    coordinates as refined as that took (rational ones are points, so on a
+    rational point the check is exact and refines nothing)."""
     if not (coords[0].is_rational and coords[0].value == 1):
         raise InternalInvariantViolation("variety point has x0 != 1")
+    tol_num, tol_den = DEFAULT_PRECISION.numerator, DEFAULT_PRECISION.denominator
 
     def verdict(values):
-        den, enclosures = _relation_enclosures(ctx.columns, [c.interval() for c in values])
-        for (i, j), enc in enclosures.items():
-            if not enc.contains(0):
+        den, enclosures = _relation_enclosures(ctx.columns, values)
+        limit = den * den * tol_num
+        narrow = True
+        for (i, j), (lo, hi) in enclosures.items():
+            if not lo <= 0 <= hi:
                 raise InternalInvariantViolation(
                     f"candidate point residual on x{i}*x{j} is certified nonzero"
                 )
-        bound = den * den * DEFAULT_PRECISION
-        return tuple(values) if all(enc.width < bound for enc in enclosures.values()) else None
+            narrow = narrow and (hi - lo) * tol_den < limit
+        return tuple(values) if narrow else None
 
     return VarietyPoint(refine_until(coords, verdict, "residual certification"))
 
 
-def _relation_enclosures(columns, box):
-    """(D, {(i, j): E}) for the structure relations x_i*x_j - sum_k p_ij^k x_k,
-    1 <= i <= j <= d, of the tensor over a box of Intervals (x0 first, the
-    point 1), with columns[i][j] the nonzero (k, p_ij^k) (`_sparse_columns`).
-    D is the common denominator of the endpoints, and E is D^2 times the
-    relation's enclosure, evaluated on the integer box D*box: the product
-    (D x_i)(D x_j), plus (D x_k) scaled by -p_ij^k*D for each nonzero p_ij^k
-    (D x_0 = D carries the constant term)."""
-    den, scaled = _integer_box(box)
+def _relation_enclosures(columns, values):
+    """(D, {(i, j): (lo, hi)}) for the structure relations
+    x_i*x_j - sum_k p_ij^k x_k, 1 <= i <= j <= d, of the tensor over the
+    intervals of `values` (RealRoots, x0 first, the point 1), with
+    columns[i][j] the nonzero (k, p_ij^k) (`_sparse_columns`).  D is the
+    common denominator of the endpoints (`_integer_ends`), and (lo, hi) is
+    D^2 times the relation's Interval enclosure, computed on plain integers
+    over the box scaled by D: the product (D x_i)(D x_j) by `_product`, or
+    the square rule `_square` when i = j, then one multiply-add of
+    (D x_k) * (-p_ij^k D) for each nonzero p_ij^k (D x_0 = D carries the
+    constant term).  A nonzero p_ij^k of a validated tensor is positive, so
+    the upper end of D x_k lowers lo and its lower end lowers hi."""
+    den, lows, highs = _integer_ends(values)
     out = {}
     for i in range(1, len(columns)):
+        i_lo, i_hi, row = lows[i], highs[i], columns[i]
         for j in range(i, len(columns)):
-            enc = scaled[i].power(2) if i == j else scaled[i].mul(scaled[j])
-            for k, c in columns[i][j]:
-                enc = enc.add(scaled[k].scale(-c * den))
-            out[i, j] = enc
+            lo, hi = _square(i_lo, i_hi) if i == j else _product(i_lo, i_hi, lows[j], highs[j])
+            for k, c in row[j]:
+                step = c * den
+                lo -= highs[k] * step
+                hi -= lows[k] * step
+            out[i, j] = lo, hi
     return den, out
 
 

@@ -1,9 +1,12 @@
 """Tests for character tables, P-polynomial recognition, expressibility,
 and generic elements."""
 
+import collections
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -30,8 +33,9 @@ from schemealg.errors import (
     SchemeAlgError,
     SearchTooLarge,
 )
-from schemealg.exactmath import QMatrix, RealRoot, UniPoly, real_roots
+from schemealg.exactmath import Interval, QMatrix, RealRoot, UniPoly, real_roots
 from schemealg.analysis import (
+    ORTHOGONALITY_WIDTH,
     CharacterTable,
     PPolyReport,
     character_table,
@@ -45,6 +49,7 @@ from schemealg.analysis import (
     _compare_points,
     _generates,
     _generic_element,
+    _multiplicity,
     _points_from_generic,
     _shape_basis,
     _shape_lemma,
@@ -217,6 +222,167 @@ def test_trace_sums_reject_two_swapped_rows(m, r):
     P = list(ct.P)
     P[0], P[nu] = P[nu], P[0]
     assert _trace_sums_vanish(ct.scheme.order, mults, tuple(P)) is False
+
+
+# The verdicts of _multiplicity, of the trace sums and of check_orthogonality
+# compute on the integer endpoints of the values scaled by their common
+# denominator.  Over seeded boxes around the rows of real tables (points,
+# one-sided, straddling 0, shifted off the truth) each must answer exactly
+# what its Interval/Fraction formula of before answers, error text included.
+
+
+def _interval_sum(intervals):
+    return functools.reduce(Interval.add, intervals, Interval.point(0))
+
+
+def _interval_multiplicity(order, valencies, values):
+    acc = _interval_sum(v.interval().power(2).scale(Fraction(1, k)) for v, k in zip(values, valencies))
+    m_iv = acc.reciprocal().scale(order)
+    lo, hi = math.ceil(m_iv.lo), math.floor(m_iv.hi)
+    if lo > hi:
+        raise InternalInvariantViolation(f"multiplicity in [{m_iv.lo}, {m_iv.hi}] is not an integer")
+    return lo if lo == hi else None
+
+
+def _interval_sums(pairs):
+    """The verdict of _certify_sums over (Interval, target) pairs."""
+    done = True
+    for acc, target in pairs:
+        if not acc.contains(target):
+            return False
+        done = done and acc.width < ORTHOGONALITY_WIDTH
+    return True if done else None
+
+
+def _verdict(monkeypatch, run):
+    """The verdict that run() hands to refine_until, never asked there."""
+    from schemealg import analysis
+
+    verdicts = []
+    monkeypatch.setattr(analysis, "refine_until", lambda values, verdict, layer: verdicts.append(verdict))
+    run()
+    return verdicts[0]
+
+
+def _outcome(verdict, values):
+    try:
+        return verdict(values)
+    except InternalInvariantViolation as e:
+        return str(e)
+
+
+def _boxed(rng, c, shift=0):
+    """A RealRoot box around c's interval: c itself, or widened by random
+    amounts on none, one or both sides, at times across 0, moved by shift."""
+    def amount():
+        return Fraction(rng.randint(0, 1000), rng.choice((1, 10, 2**20, 10**15, 2**70, 10**25)))
+
+    kind = rng.randrange(5)
+    lo, hi = c.low + shift, c.high + shift
+    if kind == 0:
+        return RealRoot(low=lo, high=hi) if shift else c
+    if kind == 1:
+        hi += amount()
+    elif kind == 2:
+        lo -= amount()
+    elif kind == 3:
+        lo, hi = lo - amount(), hi + amount()
+    else:
+        lo, hi = -abs(lo) - amount(), abs(hi) + amount()
+    return RealRoot(low=lo, high=hi)
+
+
+_BOX_TABLES = ((13, 5), (10, 9), (5, 4), (25, 4), (16, 15))
+
+
+def _box_tables():
+    """The tables, a rational one first, computed before the verdicts are
+    captured."""
+    return [character_table(hamming(3, 2))] + [character_table(orbit_scheme(m, r)) for m, r in _BOX_TABLES]
+
+
+def test_integer_multiplicity_verdict_matches_the_interval_formula(monkeypatch):
+    rng = random.Random(30)
+    seen = collections.Counter()
+    for ct in _box_tables():
+        order, val = ct.scheme.order, ct.scheme.valencies
+        verdict = _verdict(monkeypatch, lambda: _multiplicity(order, val, ct.P[0]))
+        for row in ct.P:
+            for _ in range(40):
+                shift = rng.choice((0, 0, Fraction(1, 3), Fraction(-1, 2**50), Fraction(1, 10**9)))
+                values = [row[0]] + [_boxed(rng, c, shift) for c in row[1:]]  # x_0 = 1 stays certified
+                got = _outcome(verdict, values)
+                assert got == _outcome(lambda v: _interval_multiplicity(order, val, v), values)
+                seen[type(got).__name__] += 1
+    assert min(seen["int"], seen["NoneType"], seen["str"]) >= 40, seen
+
+
+def test_integer_trace_sum_verdict_matches_the_interval_formula(monkeypatch):
+    rng = random.Random(31)
+    seen = collections.Counter()
+    tables = _box_tables()
+    for ct in tables:
+        order, n = ct.scheme.order, ct.size
+        mults = [q.value for q in ct.Q[0]]
+        for ms in (mults, [mults[0] + 1, mults[1] - 1, *mults[2:]], [-x for x in mults], [0, *mults[1:]]):
+            verdict = _verdict(monkeypatch, lambda: _trace_sums_vanish(order, ms, ct.P))
+            for _ in range(30):
+                narrow = rng.random() < 0.4  # boxes narrow enough to decide True
+                values = [RealRoot(low=c.low, high=c.high) if narrow else _boxed(rng, c) for row in ct.P for c in row]
+                ivs = [v.interval() for v in values]
+                want = _interval_sums(
+                    (_interval_sum(ivs[nu * n + k].scale(m) for nu, m in enumerate(ms)), order if k == 0 else 0)
+                    for k in range(n)
+                )
+                assert verdict(values) is want
+                seen[want] += 1
+    assert min(seen[True], seen[False], seen[None]) >= 20, seen
+    # a sum exactly ORTHOGONALITY_WIDTH wide is undecided: T_1 of a rational
+    # table with one entry widened by the width over its multiplicity
+    ct = tables[0]
+    mults = [q.value for q in ct.Q[0]]
+    values = [c for row in ct.P for c in row]
+    values[1] = RealRoot(low=values[1].low, high=values[1].high + ORTHOGONALITY_WIDTH / mults[0])
+    verdict = _verdict(monkeypatch, lambda: _trace_sums_vanish(ct.scheme.order, mults, ct.P))
+    assert verdict(values) is None
+    values[1] = RealRoot(low=values[1].low, high=values[1].high - ORTHOGONALITY_WIDTH / 10)
+    assert verdict(values) is True
+
+
+def test_integer_orthogonality_verdict_matches_the_interval_formula(monkeypatch):
+    rng = random.Random(32)
+    seen = collections.Counter()
+    tables = _box_tables()
+    for ct in tables:
+        v, n = ct.scheme.order, ct.size
+        verdict = _verdict(monkeypatch, ct.check_orthogonality)
+        for _ in range(30):
+            kind = rng.randrange(3)  # the entries' own intervals, boxes around them, or moved off them
+            shift = Fraction(rng.choice((1, -1)), 10**rng.randint(3, 12)) if kind == 2 else 0
+            values = [
+                _boxed(rng, c) if kind == 1 else RealRoot(low=c.low + shift, high=c.high + shift)
+                for row in ct.P + ct.Q
+                for c in row
+            ]
+            ivs = [x.interval() for x in values]
+            want = _interval_sums(
+                (_interval_sum(ivs[mu * n + k].mul(ivs[(n + k) * n + nu]) for k in range(n)), v if mu == nu else 0)
+                for mu, nu in itertools.product(range(n), repeat=2)
+            )
+            assert verdict(values) is want
+            seen[want] += 1
+    assert min(seen[True], seen[False], seen[None]) >= 10, seen
+    # entries exactly ORTHOGONALITY_WIDTH wide are undecided: a rational table
+    # with Q[0][0] = 1 widened by the width, which every (P @ Q)[mu][0] meets
+    # through P[mu][0] = 1
+    ct = tables[0]
+    n = ct.size
+    verdict = _verdict(monkeypatch, ct.check_orthogonality)
+    values = [c for row in ct.P + ct.Q for c in row]
+    values[n * n] = RealRoot(low=1, high=1 + ORTHOGONALITY_WIDTH)
+    assert verdict(values) is None
+    values[n * n] = RealRoot(low=1, high=1 + ORTHOGONALITY_WIDTH / 2)
+    assert verdict(values) is True
 
 
 def test_character_table_certifies_orthogonality_by_trace_sums(monkeypatch):

@@ -647,6 +647,79 @@ class TestRefineUntil:
         assert calls == [calls[0], calls[0] / 4]
         assert r is asked[2] and r.width < calls[1]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("stop", [2, 5, 40, None])  # None: never decides
+    def test_round_widths_match_the_generator_loop(self, seed, stop):
+        # each round's width is computed from the widest value's bit lengths;
+        # the loop it replaced scanned 2^-8, 2^-10, ... for the first width at
+        # or below the widest, each skipped width counting as a round.  Both
+        # must pass refine the same widths, round by round, and end alike,
+        # with an answer or with the error after REFINE_ROUNDS rounds.
+        def generator_loop(values, verdict, layer):
+            values = list(values)
+            widths = (Fraction(1, 2 ** (8 + 2 * r)) for r in range(REFINE_ROUNDS - 1))
+            while (answer := verdict(values)) is None:
+                widest = max((v.width for v in values), default=0)
+                width = next((w for w in widths if w <= widest), None)
+                if width is None:
+                    raise InternalInvariantViolation(
+                        f"{layer}: no certificate after {REFINE_ROUNDS} refinement rounds"
+                    )
+                values = [v.refine(width) for v in values]
+            return answer
+
+        class Value:
+            # refine(w) returns the value itself when it is narrower than w, as
+            # RealRoot.refine does, and otherwise one below w, at times far
+            # below it or exactly on a later round's width, so rounds are skipped
+            def __init__(self, width, rng, log):
+                self.width, self.rng, self.log = width, rng, log
+
+            def refine(self, max_width):
+                self.log.append(max_width)
+                if self.width < max_width:
+                    return self
+                shrink = self.rng.choice((Fraction(1, 2), Fraction(1, 4), Fraction(1, 2**40), Fraction(999, 1000)))
+                return Value(max_width * shrink / 2 ** self.rng.choice((0, 0, 1, 6)), self.rng, self.log)
+
+        rng = random.Random(seed)
+        starts = [rng.choice((0, 1, 5, Fraction(1, 256), Fraction(1, 257), Fraction(3, 1000), Fraction(7, 2**300)))
+                  for _ in range(rng.randint(1, 3))]
+
+        def run(loop):
+            log, asked = [], []
+
+            def verdict(values):
+                asked.append(len(values))
+                return "decided" if len(asked) == stop else None
+
+            values = [Value(w, random.Random(seed), log) for w in starts]
+            try:
+                outcome = loop(values, verdict, "layer")
+            except InternalInvariantViolation as e:
+                outcome = str(e)
+            return outcome, log, len(asked)
+
+        got, want = run(refine_until), run(generator_loop)
+        assert got == want
+        if stop is None:
+            assert got[0] == f"layer: no certificate after {REFINE_ROUNDS} refinement rounds"
+
+    def test_round_widths_skip_to_the_widest_value_and_run_out(self):
+        # a value 2^-100 wide is first refined at round 46 (2^-100), and one
+        # that stays that wide after each refine runs the 511 widths out
+        class Value:
+            width = Fraction(1, 2**100)
+
+            def refine(self, max_width):
+                calls.append(max_width)
+                return self
+
+        calls = []
+        with pytest.raises(InternalInvariantViolation, match="^layer: no certificate after 512"):
+            refine_until([Value()], lambda values: None, "layer")
+        assert calls == [Fraction(1, 2 ** (8 + 2 * r)) for r in range(46, REFINE_ROUNDS - 1)]
+
     def test_undecided_verdict_on_rationals_is_asked_once(self):
         # every width is 0, so no round can change a value
         asked = []

@@ -11,7 +11,7 @@ from conftest import distinct_orbit_tensors, parse_basis, parse_poly
 
 from schemealg.analysis import find_generic_element, variety_points
 from schemealg.errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
-from schemealg.exactmath import Interval, QMatrix, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
+from schemealg.exactmath import DEFAULT_PRECISION, Interval, QMatrix, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
 from schemealg.fglm import (
     ReducedGB,
     VarietyPoint,
@@ -275,6 +275,73 @@ def test_moller_stetter_sees_values_not_which_point_holds_them():
     fake = VarietyPoint((x[0], x[1], x[1], *x[3:]))
     assert _moller_stetter(sb, pts, ctx)
     assert not _moller_stetter(sb, pts[:k] + [fake] + pts[k + 1 :], ctx)
+
+
+def test_residual_verdict_matches_the_interval_formula(monkeypatch):
+    # the verdict of _certify_point computes on the integer endpoints of the
+    # box scaled by its common denominator; over boxes around the points of
+    # orbit schemes (their own cells, widened, or moved off the point) it
+    # answers what the Interval formula does: the written-out relations
+    # enclosed by MPoly.evaluate_interval, the first one in (i, j) order that
+    # excludes 0 raising, then every width below the precision.  A precision
+    # equal to the widest enclosure's width leaves the point undecided.
+    from schemealg import fglm
+
+    def reference(values, relations, precision):
+        ivs = [v.interval() for v in values]
+        enclosures = [(i, j, g.evaluate_interval(ivs)) for i, j, g in relations]
+        for i, j, enc in enclosures:
+            if not enc.contains(0):
+                raise InternalInvariantViolation(f"candidate point residual on x{i}*x{j} is certified nonzero")
+        return tuple(values) if all(enc.width < precision for _, _, enc in enclosures) else None
+
+    def verdict(ctx, coords, precision):
+        verdicts = []
+        monkeypatch.setattr(fglm, "DEFAULT_PRECISION", precision)
+        monkeypatch.setattr(fglm, "refine_until", lambda values, verdict, layer: verdicts.append(verdict))
+        fglm._certify_point(ctx, coords)
+        return verdicts[0]
+
+    def outcome(decide, values):
+        try:
+            return decide(values)
+        except InternalInvariantViolation as e:
+            return str(e)
+
+    cases = []  # the points are solved before the verdicts are captured
+    for m, r in [(13, 5), (10, 9), (16, 15), (25, 4)]:
+        sb = structure_basis(orbit_scheme(m, r))
+        order, nv = sb.basis.order, sb.nvars
+        generator = {g.leading_monomial(order): g for g in sb.basis}
+        relations = [
+            (i, j, generator[Monomial.variable(i, nv).mul(Monomial.variable(j, nv))])
+            for i in range(1, nv)
+            for j in range(i, nv)
+        ]
+        cases.append((_SolveContext(sb), relations, variety_points(sb)))
+    rng = random.Random(34)
+    seen = {"point": 0, "undecided": 0, "error": 0, "boundary": 0}
+    for ctx, relations, points in cases:
+        for pt in points:
+            coords = pt.coordinates
+            for _ in range(12):
+                kind = rng.randrange(3)
+                shift = Fraction(rng.choice((1, -1)), 10 ** rng.randint(2, 40)) if kind == 2 else 0
+                widen = Fraction(1, 10 ** rng.randint(0, 40)) if kind == 1 else 0
+                values = [coords[0]] + [
+                    c if not (shift or widen) else RealRoot(low=c.low + shift - widen, high=c.high + shift + widen)
+                    for c in coords[1:]
+                ]
+                got = outcome(verdict(ctx, coords, DEFAULT_PRECISION), values)
+                want = outcome(lambda v: reference(v, relations, DEFAULT_PRECISION), values)
+                assert got == want
+                seen["error" if isinstance(got, str) else "undecided" if got is None else "point"] += 1
+            if not pt.is_rational():
+                widest = max(g.evaluate_interval([c.interval() for c in coords]).width for _, _, g in relations)
+                for precision, want in ((widest, None), (widest * (1 + Fraction(1, 10**9)), tuple(coords))):
+                    assert verdict(ctx, coords, precision)(list(coords)) == want == reference(coords, relations, precision)
+                seen["boundary"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _unrefined(c):

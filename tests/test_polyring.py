@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from schemealg.errors import DimensionMismatch, ZeroPolynomial
-from schemealg.exactmath import Interval
+from schemealg.exactmath import Interval, RealRoot
 from schemealg.fglm import _relation_enclosures
 from schemealg.polyring import (
     Monomial,
@@ -127,14 +127,15 @@ class TestMPoly:
         assert p.evaluate([0, -1, 5]) == 0
         assert p.evaluate([0, 3, 0]) == 4
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(6))
     def test_evaluate_interval_matches_the_fraction_loop(self, seed):
         # evaluate_interval is the term-by-term Fraction loop over every
         # term of the written-out relation; residual certification encloses
-        # the same relations on the integer box D*box, read off the nonzero
-        # entries of the tensor, and divided by D^2 must give the same
-        # rationals (a square by power(2), the linear terms scaled by D)
-        m, r = [(5, 4), (13, 5), (16, 15), (25, 4)][seed]
+        # the same relations on plain integers over the box scaled by D,
+        # read off the nonzero entries of the tensor, and divided by D^2 must
+        # give the same rationals (a square by the even-power rule, a product
+        # by its sign cases, the linear terms scaled by D), in (i, j) order
+        m, r = [(5, 4), (13, 5), (16, 15), (25, 4), (32, 7), (21, 2)][seed]
         sb = structure_basis(orbit_scheme(m, r))
         order = sb.basis.order
         generator = {g.leading_monomial(order): g for g in sb.basis}
@@ -147,19 +148,24 @@ class TestMPoly:
         for _ in range(60):
             ivs = [Interval.point(1)]
             for _ in range(sb.nvars - 1):
-                kind = rng.randrange(3)
+                kind = rng.randrange(4)
                 if kind == 0:
                     ivs.append(Interval.point(rational()))
                 elif kind == 1:  # straddles zero
                     ivs.append(Interval(-abs(rational()), abs(rational())))
+                elif kind == 2:  # one end at zero, where the sign cases meet
+                    ivs.append(Interval(*sorted((0, rational()))))
                 else:
                     ivs.append(Interval(*sorted((rational(), rational()))))
-            den, enclosures = _relation_enclosures(_sparse_columns(sb), ivs)
-            assert len(enclosures) == len(sb.basis) - 1
-            for (i, j), enc in enclosures.items():
+            values = [RealRoot(low=iv.lo, high=iv.hi) for iv in ivs]
+            den, enclosures = _relation_enclosures(_sparse_columns(sb), values)
+            pairs = [(i, j) for i in range(1, sb.nvars) for j in range(i, sb.nvars)]
+            assert list(enclosures) == pairs and len(pairs) == len(sb.basis) - 1
+            for (i, j), (lo, hi) in enclosures.items():
+                assert type(lo) is int and type(hi) is int
                 g = generator[Monomial.variable(i, sb.nvars).mul(Monomial.variable(j, sb.nvars))]
                 want = g.evaluate_interval(ivs)
-                assert (Fraction(enc.lo, den**2), Fraction(enc.hi, den**2)) == (want.lo, want.hi)
+                assert (Fraction(lo, den**2), Fraction(hi, den**2)) == (want.lo, want.hi)
 
     def test_partial_eval(self):
         p = parse_poly("x1*x2 - 2*x1", 3)

@@ -41,6 +41,8 @@ from schemealg.exactmath import (  # noqa: E402
     RealRoot,
     UniPoly,
     _isolate,
+    _product,
+    _square,
     _sturm_chain,
     real_roots,
 )
@@ -355,8 +357,28 @@ def _intervals(draw):
     return Interval(*sorted((draw(_rationals), draw(_rationals))))
 
 
+# integers around the sign changes of the product and square rules, and large ones
+_ends = st.integers(-3, 3) | st.integers(-(2**130), 2**130)
+
+
+@KERNEL_SETTINGS
+@given(st.tuples(_ends, _ends).map(sorted), st.tuples(_ends, _ends).map(sorted))
+@example([0, 0], [-2, 3])
+@example([-5, 0], [0, 7])
+@example([0, 4], [-3, 0])
+def test_product_and_square_rules_match_interval_arithmetic(a, b):
+    want = Interval(*a).mul(Interval(*b))
+    assert _product(*a, *b) == (want.lo, want.hi)
+    square = Interval(*a).power(2)
+    assert _square(*a) == (square.lo, square.hi)
+
+
 @KERNEL_SETTINGS
 @given(st.lists(_rationals | st.just(Fraction(0)), max_size=7), _intervals())
+# Horner values that touch 0 at one end, where the product's sign cases meet
+@example([Fraction(-1), Fraction(1)], Interval(Fraction(0), Fraction(3, 7)))
+@example([Fraction(0), Fraction(2), Fraction(-3)], Interval(Fraction(-1, 2**40), Fraction(0)))
+@example([Fraction(1, 3), Fraction(0), Fraction(-1, 3)], Interval(Fraction(-1), Fraction(1)))
 def test_univariate_evaluate_interval_matches_the_fraction_reference(coeffs, iv):
     # all-zero coefficient lists give the zero polynomial
     p = UniPoly(coeffs)
