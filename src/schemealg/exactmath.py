@@ -177,22 +177,10 @@ class UniPoly:
 
     def evaluate_interval(self, iv):
         """Enclosure of self over the Interval iv by Horner's rule in Interval
-        arithmetic, stepped on two integers: with iv = [X_lo, X_hi]/D
-        (`_integers`) and coefficients A_k/C, the k-th Horner value times
-        C*D^(n-k) is the integer interval acc*X + A_k*D^(n-k), multiplied by
-        `_product`, so only the result is divided, by C*D^n.  Scaling by a
-        positive constant keeps every min and max, so the enclosure is the
-        one the same steps give over Fractions."""
+        arithmetic: the integer kernel `_horner_enclosure` over iv and the
+        coefficients scaled to integers (`_integers`), divided once."""
         den, (x_lo, x_hi) = _integers((iv.lo, iv.hi))
-        cden, coeffs = _integers(self._c)
-        lo = hi = 0
-        pw = 1
-        for a in reversed(coeffs):
-            lo, hi = _product(lo, hi, x_lo, x_hi)
-            lo += a * pw
-            hi += a * pw
-            pw *= den
-        q = cden * den ** max(self.degree, 0)
+        lo, hi, q = _horner_enclosure(*_integers(self._c), den, x_lo, x_hi)
         return Interval(Fraction(lo, q), Fraction(hi, q))
 
     # -- number-theoretic normal forms --------------------------------------
@@ -474,6 +462,26 @@ def _square(lo, hi):
     return 0, max(lo * lo, hi * hi)
 
 
+def _horner_enclosure(cden, coeffs, den, x_lo, x_hi):
+    """(lo, hi, q), q > 0: the enclosure [lo/q, hi/q] that Horner's rule in
+    Interval arithmetic gives the polynomial with ascending coefficients
+    coeffs/cden (`_integers`) over [x_lo/den, x_hi/den], stepped on integers.
+    The k-th Horner value times cden*den^(n-k) is the integer interval
+    acc*X + A_k*den^(n-k), multiplied by `_product`, so q = cden*den^n.
+    Scaling by a positive constant keeps every min and max, so the enclosure
+    is the one the same steps give over Fractions."""
+    if not coeffs:
+        return 0, 0, cden
+    lo = hi = coeffs[-1]
+    pw = 1
+    for a in coeffs[-2::-1]:
+        lo, hi = _product(lo, hi, x_lo, x_hi)
+        pw *= den
+        lo += a * pw
+        hi += a * pw
+    return lo, hi, cden * pw
+
+
 def _integer_box(intervals):
     """(den, box): the least common denominator of the endpoints of the
     Intervals and the integer Intervals den * iv, in order."""
@@ -702,36 +710,51 @@ def _isolate(q, chain):
     decides whether the root is rational.  A midpoint c that is a root is
     recorded and both halves kept: V(c-) = V(c) + 1 = V(c+) + 1.
 
-    An interval is kept as integers (a, b, den, va, vb): the endpoints a/den
-    and b/den over one common denominator, doubled at each split, and the
-    chain's sign variations at them, so a split evaluates the chain at its
-    midpoint only, and that one pass gives q's sign there (q is chain[0]).
-    Fractions are built only for the roots returned.
+    An interval is kept as integers (a, b, den, va, vb, sa): the endpoints
+    a/den and b/den over one common denominator, doubled at each split, the
+    chain's sign variations at them and q's sign at a, so a split evaluates
+    the chain at its midpoint only, and that one pass gives q's sign there
+    (q is chain[0]).  An interval that holds one root, where q changes sign
+    once, is split by q's sign at the midpoint alone, against its sign just
+    right of a: sa, or, when a is a rational root found as a midpoint, the
+    sign of q' (chain[1]) at a.  This keeps the tree of splits and the
+    intervals the Sturm counts would give.  Fractions are built only for the
+    roots returned.
     """
     bound = q.cauchy_root_bound()
     lc = abs(q.leading_coeff())
     top, den = bound.numerator, bound.denominator
-    stack = [(-top, top, den, _variations(chain, -top, den)[0], _variations(chain, top, den)[0])]
+    v_low, s_low = _variations(chain, -top, den)
+    stack = [(-top, top, den, v_low, _variations(chain, top, den)[0], s_low)]
     rationals, intervals = [], []
     while stack:
-        a, b, den, va, vb = stack.pop()
+        a, b, den, va, vb, sa = stack.pop()
         n = va - vb
         if n == 0:
             continue
-        if n == 1 and (b - a) * (lc + 1) < den:
-            c = lc * a // den + 1
-            if c * den < lc * b and _sign_num(q._c, c, lc) == 0:
-                rationals.append(Fraction(c, lc))
+        if n == 1:
+            sa = sa or _sign_num(chain[1]._c, a, den)
+            while (b - a) * (lc + 1) >= den:
+                mid, den = a + b, 2 * den
+                sign = _sign_num(q._c, mid, den)
+                if not sign:
+                    rationals.append(Fraction(mid, den))
+                    break
+                a, b = (mid, 2 * b) if sign == sa else (2 * a, mid)
             else:
-                intervals.append((Fraction(a, den), Fraction(b, den)))
+                c = lc * a // den + 1
+                if c * den < lc * b and _sign_num(q._c, c, lc) == 0:
+                    rationals.append(Fraction(c, lc))
+                else:
+                    intervals.append((Fraction(a, den), Fraction(b, den)))
             continue
         mid, den = a + b, 2 * den
         vm, sign = _variations(chain, mid, den)
         at_root = sign == 0
         if at_root:
             rationals.append(Fraction(mid, den))
-        stack.append((2 * a, mid, den, va, vm + at_root))
-        stack.append((mid, 2 * b, den, vm, vb))
+        stack.append((2 * a, mid, den, va, vm + at_root, sa))
+        stack.append((mid, 2 * b, den, vm, vb, sign))
     return rationals, sorted(intervals)
 
 
@@ -922,7 +945,7 @@ class RealRoot:
 REFINE_ROUNDS = 512
 
 
-def refine_until(values, verdict, layer):
+def refine_until(values, verdict, layer, step=None):
     """Refine `values` (RealRoots) until `verdict` decides, and return its answer.
 
     The verdict is asked of the values as given; while it answers None
@@ -936,9 +959,13 @@ def refine_until(values, verdict, layer):
     widest value's is found from the bit lengths of that width's numerator
     and denominator.  Rational values are points, so an interval
     verdict on them is exact and decides at once.
+    `step(value, width)` refines one value: `value.refine(width)`, or what
+    the caller gives, which must return what that would (the memo of
+    `fglm._SolveContext.refine`).
     Raises InternalInvariantViolation naming `layer` once the rounds run out.
     """
     values = list(values)
+    step = step or (lambda value, width: value.refine(width))
     rnd = 0  # the next round's index; its width is 2^-(8 + 2 rnd)
     while (answer := verdict(values)) is None:
         widest = max((v.width for v in values), default=0)
@@ -954,5 +981,5 @@ def refine_until(values, verdict, layer):
             )
         width = Fraction(1, 2 ** (8 + 2 * rnd))
         rnd += 1
-        values = [v.refine(width) for v in values]
+        values = [step(v, width) for v in values]
     return answer

@@ -18,7 +18,11 @@ shape-lemma form {f(x_v)} + {x_j - q_j(x_v)}.  Variety points are then
 extracted from a lex basis: in shape position every coordinate is q_j(t)
 for a real root t of f, matched against its class's spectrum from t alone
 (`_shape_points`, the kernel the generic element and a separating class's
-walk use too); any other basis is solved stage by stage (`_stage_points`),
+walk use too).  That back-substitution runs on integers: q_j is scaled
+once, its enclosure over t's interval is the Horner kernel's (lo, hi, q),
+and the spectrum members that meet it are found by two bisections over the
+spectrum's endpoints, scaled once per class (`_meeting`).  Any other basis
+is solved stage by stage (`_stage_points`),
 which fails with NotTriangularEnough once an irrational coordinate lacks a
 solved form, always so when the smallest variable has an irrational
 eigenvalue and does not generate the algebra.  Every point passes residual
@@ -31,16 +35,16 @@ points).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import attrgetter
+from functools import partial, reduce
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
 from .exactmath import (
     DEFAULT_PRECISION,
     Interval,
     UniPoly,
+    _horner_enclosure,
     _integer_ends,
     _integers,
     _product,
@@ -229,7 +233,8 @@ def _power_walk(ycols):
 class _SolveContext:
     """What one structure basis gives every solve that reads it, computed
     once: the sparse columns, each class's power walk (its minimal
-    polynomial and echelon) and the real roots of each distinct polynomial.
+    polynomial and echelon), the real roots of each distinct polynomial,
+    each spectrum's endpoints on integers and each distinct refinement.
 
     `walk(var)` is `_power_walk` of B_var, which decides each class of the
     `variety_points` ladder: its minimal polynomial is `walk(var)[0]`, and
@@ -241,9 +246,16 @@ class _SolveContext:
     `roots` of that polynomial, kept per class by `spectrum(var)` so that a
     repeated call does not make the polynomial primitive again: classes
     with one minimal polynomial share it, and so does a lex eliminant,
-    which is the minimal polynomial of its smallest class.  One context
-    serves one solve, the ladder of one `variety_points` call, or a whole
-    `character_table`."""
+    which is the minimal polynomial of its smallest class.  `ends(var)` is
+    `_integer_ends` of the spectrum, (D, D*lows, D*highs), which
+    `_meeting` bisects.  `refine(value, width)` is `value.refine(width)`,
+    made once per (value, width) and handed back as the same object (a
+    rational is returned as it is): the points of one table share spectrum
+    members, which back-substitution and residual certification refine to
+    the same widths, so it is the step `refine_until` takes there.  A memo
+    entry keeps its value alive, so the id in its key is not reused while
+    the context lives.  One context serves one solve, the ladder of one
+    `variety_points` call, or a whole `character_table`."""
 
     def __init__(self, sb):
         self.sb = sb
@@ -251,6 +263,8 @@ class _SolveContext:
         self._walks = {}
         self._roots = {}
         self._spectra = {}
+        self._ends = {}
+        self._refined = {}
 
     def walk(self, var):
         if var not in self._walks:
@@ -271,57 +285,78 @@ class _SolveContext:
             self._spectra[var] = self.roots(self.minimal_polynomial(var))
         return self._spectra[var]
 
+    def ends(self, var):
+        if var not in self._ends:
+            self._ends[var] = _integer_ends(self.spectrum(var))
+        return self._ends[var]
+
+    def refine(self, value, width):
+        if value.is_rational:
+            return value
+        key = id(value), width
+        if key not in self._refined:
+            self._refined[key] = value, value.refine(width)
+        return self._refined[key][1]
+
 
 def _algebraic_value(ctx, values, enclosure, var):
     """The eigenvalue of the var-th multiplication matrix that lies in
-    enclosure(intervals of `values`): the one spectrum value whose interval
-    meets it, with `values` (RealRoots) refined until exactly one does
-    (rational values are points, so they decide in the first round).  The
-    members that meet the enclosure are found by bisection (`_meeting`)."""
-    spectrum = ctx.spectrum(var)
+    enclosure(values) = (lo, hi, q), the integers of [lo/q, hi/q], q > 0:
+    the one spectrum value whose interval meets it, with `values`
+    (RealRoots) refined until exactly one does (rational values are points,
+    so they decide in the first round).  The members that meet the
+    enclosure are found by two integer bisections (`_meeting`)."""
+    spectrum, ends = ctx.spectrum(var), ctx.ends(var)
 
     def verdict(values):
-        hits = _meeting(spectrum, enclosure([v.interval() for v in values]))
+        hits = _meeting(spectrum, ends, *enclosure(values))
         if not hits:
             raise InternalInvariantViolation(
                 "back-substituted value escaped the multiplication-matrix spectrum"
             )
         return hits[0] if len(hits) == 1 else None
 
-    return refine_until(values, verdict, "back-substitution")
+    return refine_until(values, verdict, "back-substitution", ctx.refine)
 
 
-def _meeting(spectrum, enc):
-    """The members of `spectrum` whose intervals meet the Interval `enc`.
+def _meeting(spectrum, ends, lo, hi, q):
+    """The members of `spectrum` whose intervals meet [lo/q, hi/q] (integers,
+    q > 0), with ends = (D, lows, highs) = `_integer_ends(spectrum)`.
 
     A spectrum is `real_roots` of one polynomial: sorted, its irrational
     members isolated by one walk of their witness (interiors disjoint, ends
     possibly shared) and no rational member in an irrational one's closed
-    cell.  So both ends ascend along it and the members that meet `enc` are
-    consecutive: a bisection finds the first one whose upper end reaches
-    enc.lo, and the run ends before the first lower end past enc.hi."""
-    first = last = bisect_left(spectrum, enc.lo, key=_HIGH)
-    while last < len(spectrum) and spectrum[last].low <= enc.hi:
-        last += 1
-    return spectrum[first:last]
+    cell.  So both ends ascend along it and the members that meet the
+    enclosure are consecutive: from the first whose upper end reaches lo/q,
+    D*high >= ceil(lo*D/q), to the last whose lower end is at most hi/q,
+    D*low <= floor(hi*D/q), each found by bisection on integers."""
+    den, lows, highs = ends
+    first = bisect_left(highs, -(-lo * den // q))
+    return spectrum[first : bisect_right(lows, hi * den // q, first)]
 
 
-_HIGH = attrgetter("high")
+def _root_enclosure(cden, coeffs, values):
+    """(lo, hi, q): `_horner_enclosure` of the polynomial coeffs/cden over
+    the interval of the one RealRoot in `values`."""
+    (t,) = values
+    den, (lo, hi) = _integers((t.low, t.high))
+    return _horner_enclosure(cden, coeffs, den, lo, hi)
 
 
 def _shape_points(ctx, eliminant, forms):
     """The certified points (q_0(t), ..., q_d(t)) over the real roots t of
     `eliminant`, in ascending order of t: forms[j] is the univariate q_j, or
     None where x_j is t itself.  Each coordinate is `_algebraic_value` of t
-    alone, enclosed by `UniPoly.evaluate_interval`, so it is a member of its
+    alone, enclosed by the Horner kernel over q_j's coefficients, scaled to
+    integers once per form (`_root_enclosure`), so it is a member of its
     class's spectrum, shared by every point that has that value (a rational
     t is a point, and its coordinates decide in the first round).  The one
     kernel for a lex basis in shape position and for a generic element."""
+    enclosures = [None if q is None else partial(_root_enclosure, *_integers(q.coeffs)) for q in forms]
     points = []
     for t in ctx.roots(eliminant):
         coords = tuple(
-            t if q is None else _algebraic_value(ctx, (t,), lambda ivs, q=q: q.evaluate_interval(ivs[0]), j)
-            for j, q in enumerate(forms)
+            t if enc is None else _algebraic_value(ctx, (t,), enc, j) for j, enc in enumerate(enclosures)
         )
         points.append(_certify_point(ctx, coords))
     return tuple(points)
@@ -390,11 +425,13 @@ def _stage_points(ctx, rgb):
                     )
                 form, variables = forms[y], list(assign)
 
-                def enclosure(ivs):
+                def enclosure(values):
                     box = [Interval.point(0)] * nv
-                    for j, iv in zip(variables, ivs):
-                        box[j] = iv
-                    return form.evaluate_interval(box)
+                    for j, v in zip(variables, values):
+                        box[j] = v.interval()
+                    iv = form.evaluate_interval(box)
+                    q, (lo, hi) = _integers((iv.lo, iv.hi))
+                    return lo, hi, q
 
                 ext = dict(assign)
                 ext[y] = _algebraic_value(ctx, assign.values(), enclosure, y)
@@ -428,7 +465,7 @@ def _certify_point(ctx, coords):
             narrow = narrow and (hi - lo) * tol_den < limit
         return tuple(values) if narrow else None
 
-    return VarietyPoint(refine_until(coords, verdict, "residual certification"))
+    return VarietyPoint(refine_until(coords, verdict, "residual certification", ctx.refine))
 
 
 def _relation_enclosures(columns, values):

@@ -1217,6 +1217,22 @@ def test_character_table_isolates_each_distinct_polynomial_once(monkeypatch):
     assert set(calls) == minimal
 
 
+def test_character_table_refines_each_value_to_each_width_once(monkeypatch):
+    # on the cycle (24, 23) the points share spectrum members, and every
+    # certificate refines them to the same widths; the solve context's memo
+    # hands back the refinement it made, so no (value, width) pair reaches
+    # RealRoot.refine twice (without it, 168 calls made 40 distinct pairs)
+    refine, seen = RealRoot.refine, []
+
+    def counted(self, width):
+        seen.append((self.value, self.low, self.high, self.poly and self.poly.coeffs, width))
+        return refine(self, width)
+
+    monkeypatch.setattr(RealRoot, "refine", counted)
+    assert character_table(orbit_scheme(24, 23)).size == 13
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_generic_element_many_seeds_terminate(ex2_scheme):
     for seed in range(5):
         ge = find_generic_element(ex2_scheme, rng_seed=seed)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -576,6 +577,31 @@ def _orbit_stdout_sha256(cmd, m, r, fmt, tmp_path, capsys, *args):
 def test_chartab_json_intervals_are_pinned(m, r, tmp_path, capsys):
     digest = _orbit_stdout_sha256("chartab", m, r, "json", tmp_path, capsys)
     assert digest == CHARTAB_JSON_SHA256[(m, r)]
+
+
+# sha256 of the `chartab --format json` stdouts, concatenated, of the 122
+# distinct orbit tensors with m <= 40, each from its smallest coprime (m, r),
+# in ascending (m, r): every value, interval endpoint and witness that the
+# solve, the certificates and the printing give across the lex paths, the
+# shape-position reads and the generic fallback.
+CHARTAB_CORPUS_SHA256 = "f948d294e667b9c28f7f18e404f5821bc8471fe8486a6b32b14ddbd0736dca15"
+
+
+def test_chartab_json_reports_of_the_orbit_corpus_are_pinned(tmp_path, capsys):
+    from schemealg import cli
+    from schemealg.scheme import orbit_scheme
+
+    firsts = {}
+    for m in range(3, 41):
+        for r in range(2, m):
+            if math.gcd(m, r) == 1:
+                firsts.setdefault(orbit_scheme(m, r).tensor.p, (m, r))
+    assert len(firsts) == 122
+    path = tmp_path / "scheme.json"
+    for m, r in firsts.values():
+        path.write_text(json.dumps({"type": "orbit", "m": m, "r": r}))
+        assert cli.main(["chartab", str(path), "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHARTAB_CORPUS_SHA256
 
 
 @pytest.mark.parametrize("m, r", sorted(CHARTAB_DIGITS_SHA256))

@@ -11,7 +11,18 @@ from conftest import distinct_orbit_tensors, parse_basis, parse_poly
 
 from schemealg.analysis import find_generic_element, variety_points
 from schemealg.errors import DimensionMismatch, InternalInvariantViolation, NotTriangularEnough
-from schemealg.exactmath import DEFAULT_PRECISION, Interval, QMatrix, RealRoot, UniPoly, _isolate, _sturm_chain, real_roots
+from schemealg.exactmath import (
+    DEFAULT_PRECISION,
+    Interval,
+    QMatrix,
+    RealRoot,
+    UniPoly,
+    _integer_ends,
+    _integers,
+    _isolate,
+    _sturm_chain,
+    real_roots,
+)
 from schemealg.fglm import (
     ReducedGB,
     VarietyPoint,
@@ -298,7 +309,7 @@ def test_residual_verdict_matches_the_interval_formula(monkeypatch):
     def verdict(ctx, coords, precision):
         verdicts = []
         monkeypatch.setattr(fglm, "DEFAULT_PRECISION", precision)
-        monkeypatch.setattr(fglm, "refine_until", lambda values, verdict, layer: verdicts.append(verdict))
+        monkeypatch.setattr(fglm, "refine_until", lambda values, verdict, layer, step=None: verdicts.append(verdict))
         fglm._certify_point(ctx, coords)
         return verdicts[0]
 
@@ -393,7 +404,9 @@ def test_meeting_bisection_matches_the_linear_scan():
     # every spectrum of the distinct orbit tensors up to m = 24 as the solve
     # reads it, and each one isolated but unrefined, where adjacent cells can
     # share an endpoint; seeded enclosures between any two of the endpoints,
-    # values and random rationals, and the point at every endpoint and value
+    # values and random rationals, and the point at every endpoint and value.
+    # The kernel takes the spectrum's ends scaled to integers and each
+    # enclosure as integers over its own denominator, [lo/q, hi/q]
     rng = random.Random(2501)
     shared = rational = cases = 0
     for s in distinct_orbit_tensors(24):
@@ -402,6 +415,7 @@ def test_meeting_bisection_matches_the_linear_scan():
             fine, coarse = ctx.spectrum(i), tuple(real_roots(ctx.minimal_polynomial(i), precision=1))
             for spectrum in (fine, coarse):
                 assert _ends_ascend(spectrum)
+                scaled = _integer_ends(spectrum)
                 ends = sorted({x for c in spectrum for x in (c.low, c.high)})
                 shared += any(a.high == b.low for a, b in zip(spectrum, spectrum[1:]))
                 top = abs(ends[0]) + abs(ends[-1]) + 1
@@ -410,7 +424,8 @@ def test_meeting_bisection_matches_the_linear_scan():
                 enclosures += [Interval(*sorted(rng.sample(points, 2))) for _ in range(24)]
                 for enc in enclosures:
                     expected = [c for c in spectrum if c.interval().intersect(enc) is not None]
-                    assert list(_meeting(spectrum, enc)) == expected, (spectrum, enc)
+                    q, (lo, hi) = _integers((enc.lo, enc.hi))
+                    assert list(_meeting(spectrum, scaled, lo, hi, q)) == expected, (spectrum, enc)
                     rational += any(c.is_rational and enc.contains(c.value) for c in spectrum)
                     cases += 1
     assert (cases, shared, rational) == (19343, 67, 10768)

@@ -1,8 +1,8 @@
 """Property tests of certified character tables of orbit schemes: against
-Gauss periods, an oracle that does not come from the program, and the row
-order of P under class relabellings.  The examples are drawn from every
+Gauss periods, an oracle that does not come from the program, on every
 distinct orbit scheme on Z_m with m <= 64 and d <= 10, prime-power moduli
-(which take the generic-element fallback) included."""
+(which take the generic-element fallback) included, and the row order of P
+under class relabellings, on examples drawn from the same schemes."""
 
 import math
 import random
@@ -39,14 +39,7 @@ def test_the_corpus_holds_every_distinct_scheme():
     assert (25, 4) in SCHEMES and (64, 3) in SCHEMES
 
 
-@settings(
-    max_examples=75,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(st.sampled_from(SCHEMES))
+@pytest.mark.parametrize("mr", SCHEMES, ids=[f"{m}-{r}" for m, r in SCHEMES])
 def test_certified_p_holds_the_gauss_periods(mr):
     s = orbit_scheme(*mr)
     ct = character_table(s)

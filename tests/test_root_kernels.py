@@ -110,6 +110,36 @@ def _ref_isolate(q):
     return "intervals", sorted(found)
 
 
+def _ref_walk(q):
+    # the one walk of every root, each split decided by Sturm counts: a
+    # midpoint c that is a root is recorded and both halves kept, the left
+    # one counted to V(c) + 1
+    chain = _ref_sturm_chain(q)
+    bound = q.cauchy_root_bound()
+    lc = abs(q.leading_coeff())
+    stack = [(-bound, bound, _ref_variations(chain, -bound), _ref_variations(chain, bound))]
+    rationals, found = [], []
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        n = v_lo - v_hi
+        if n == 0:
+            continue
+        if n == 1 and hi - lo < Fraction(1, lc + 1):
+            a = math.floor(lc * lo) + 1
+            if a < lc * hi and _ref_sign(q, Fraction(a, lc)) == 0:
+                rationals.append(Fraction(a, lc))
+            else:
+                found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid, at_root = _ref_variations(chain, mid), _ref_sign(q, mid) == 0
+        if at_root:
+            rationals.append(mid)
+        stack.append((lo, mid, v_lo, v_mid + at_root))
+        stack.append((mid, hi, v_mid, v_hi))
+    return rationals, sorted(found)
+
+
 def _ref_evaluate_interval(p, iv):
     acc = Interval.point(0)
     for a in reversed(p.coeffs):
@@ -253,6 +283,9 @@ def test_gcd_matches_the_fraction_reference(p, q, common):
 @example(UniPoly((-1, 0, 1)) * UniPoly((-1, 2)) * UniPoly((-2, 0, 1)))
 # x(x - 1)(x + 1)(x - 2)(x + 2): every root rational, a witness of degree 0
 @example(UniPoly((0, 1)) * UniPoly((-1, 0, 1)) * UniPoly((-4, 0, 1)))
+# x(x^2 - 3)(x^2 - 5): 0 is the first midpoint, and (0, 2) then holds sqrt(3)
+# alone, so its narrowing starts at a rational root
+@example(UniPoly((0, 1)) * UniPoly((-3, 0, 1)) * UniPoly((-5, 0, 1)))
 def test_isolate_matches_the_fraction_reference(p):
     # one walk collects the rational roots, and the witness left after
     # dividing them all out gives the same cells as the restart loop
@@ -260,10 +293,13 @@ def test_isolate_matches_the_fraction_reference(p):
     got = [(r.value, r.low, r.high, r.poly and r.poly.coeffs) for r in real_roots(p)]
     assert got == want
     # the walk of p itself isolates each irrational root once: a midpoint
-    # that is a root leaves no interval ending at it
+    # that is a root leaves no interval ending at it.  A one-root interval is
+    # split by the sign of p alone, and the splits, the rational roots in the
+    # order found and the intervals are the ones Sturm counts give
     rationals, intervals = _isolate(p, _sturm_chain(p, p.derivative()))
     assert sorted(rationals) == [r[0] for r in want if r[0] is not None]
     assert len(rationals) + len(intervals) == len(want)
+    assert (rationals, intervals) == _ref_walk(p)
 
 
 @settings(KERNEL_SETTINGS, max_examples=30)
